@@ -1,28 +1,18 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-numpy twin.
-
-The compiled path is used whenever numba imports cleanly; set the environment
-variable ``TVGLEARN_DISABLE_NUMBA=1`` before import to force the numpy
-implementations.  Both twins stay importable either way so that
-``benchmarks/bench_kernels.py`` can time them side by side.
-"""
-
-import os
+"""Hot numeric kernels: pairwise squared distances and capped-simplex projection."""
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "pairwise_sq_dists",
-    "pairwise_sq_dists_numpy",
-    "capped_simplex_project",
-    "capped_simplex_project_numpy",
-]
+__all__ = ["pairwise_sq_dists", "capped_simplex_project"]
+
+# There is no compiled kernel path.  The flags stay because benchmark runs
+# record them alongside their results.
+USING_NUMBA = _HAVE_NUMBA = False
 
 _MAX_BISECT = 200
 _WIDTH_EPS = 1e-14  # stop once the kappa bracket collapses to this width
 
 
-def pairwise_sq_dists_numpy(x):
+def pairwise_sq_dists(x):
     """Squared distances ||x_i - x_j||^2 for all node pairs i < j.
 
     Pairs follow row-major upper-triangular order; ``x`` is the (n, s) block
@@ -34,109 +24,7 @@ def pairwise_sq_dists_numpy(x):
     return np.einsum("es,es->e", d, d)
 
 
-def _pairwise_sq_dists_loops(x):
-    n, s = x.shape
-    out = np.empty(n * (n - 1) // 2)
-    e = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            for k in range(s):
-                diff = x[i, k] - x[j, k]
-                acc += diff * diff
-            out[e] = acc
-            e += 1
-    return out
-
-
-def _flat_kappa(w, kappa):
-    # No coordinate is strictly inside (0, 1): the root of g is a whole
-    # interval.  Its endpoints are the nearest breakpoints of the clipped sum;
-    # report the midpoint (the projected point is identical across the flat).
-    low_max = -np.inf
-    high_min = np.inf
-    w_min = np.inf
-    for i in range(w.shape[0]):
-        if w[i] < w_min:
-            w_min = w[i]
-        v = w[i] - kappa
-        if v <= 0.0:
-            if w[i] > low_max:
-                low_max = w[i]
-        else:
-            if w[i] < high_min:
-                high_min = w[i]
-    left = low_max if low_max > -np.inf else w_min - 1.0
-    right = high_min - 1.0 if high_min < np.inf else kappa
-    return 0.5 * (left + right)
-
-
-def _capped_simplex_loops(w, k, tol):
-    m = w.shape[0]
-    lo = w[0]
-    hi = w[0]
-    for i in range(m):
-        if w[i] < lo:
-            lo = w[i]
-        if w[i] > hi:
-            hi = w[i]
-    lo -= 1.0  # g(lo) = m - k >= 0 and g(hi) = -k < 0 bracket the root
-
-    kappa = 0.5 * (lo + hi)
-    iters = 0
-    while iters < _MAX_BISECT:
-        kappa = 0.5 * (lo + hi)
-        g = -k
-        for i in range(m):
-            v = w[i] - kappa
-            if v > 1.0:
-                v = 1.0
-            elif v < 0.0:
-                v = 0.0
-            g += v
-        iters += 1
-        if abs(g) <= tol or (hi - lo) <= _WIDTH_EPS:
-            break
-        if g > 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-
-    n_interior = 0
-    for i in range(m):
-        v = w[i] - kappa
-        if 0.0 < v < 1.0:
-            n_interior += 1
-    if n_interior == 0:
-        kappa = _flat_kappa(w, kappa)
-
-    out = np.empty(m)
-    total = 0.0
-    for i in range(m):
-        v = w[i] - kappa
-        if v > 1.0:
-            v = 1.0
-        elif v < 0.0:
-            v = 0.0
-        out[i] = v
-        total += v
-
-    if n_interior > 0:
-        # Spread the leftover bisection residual over the interior
-        # coordinates; this is an exact shift of kappa in disguise.
-        shift = (k - total) / n_interior
-        for i in range(m):
-            if 0.0 < out[i] < 1.0:
-                v = out[i] + shift
-                if v > 1.0:
-                    v = 1.0
-                elif v < 0.0:
-                    v = 0.0
-                out[i] = v
-    return out, kappa, iters
-
-
-def capped_simplex_project_numpy(w, k, tol):
+def capped_simplex_project(w, k, tol):
     """Project ``w`` onto {0 <= v <= 1, sum(v) = k} by bisection on kappa."""
     lo = float(w.min()) - 1.0
     hi = float(w.max())
@@ -157,6 +45,9 @@ def capped_simplex_project_numpy(w, k, tol):
     interior = (v > 0.0) & (v < 1.0)
     n_interior = int(interior.sum())
     if n_interior == 0:
+        # No coordinate is strictly inside (0, 1): the root is a whole
+        # interval between the nearest breakpoints; take its midpoint (the
+        # projected point is the same anywhere on the flat).
         low_max = w[v <= 0.0].max() if np.any(v <= 0.0) else w.min() - 1.0
         high = w[v >= 1.0]
         right = high.min() - 1.0 if high.size else kappa
@@ -167,32 +58,7 @@ def capped_simplex_project_numpy(w, k, tol):
 
     out = np.clip(v, 0.0, 1.0)
     if n_interior > 0:
+        # Spread the leftover bisection residual over the interior
+        # coordinates; this is an exact shift of kappa in disguise.
         out[interior] = np.clip(out[interior] + (k - out.sum()) / n_interior, 0.0, 1.0)
     return out, float(kappa), iters
-
-
-def _want_numba():
-    flag = os.environ.get("TVGLEARN_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _flat_kappa = njit(cache=True)(_flat_kappa)
-    pairwise_sq_dists_numba = njit(cache=True)(_pairwise_sq_dists_loops)
-    capped_simplex_project_numba = njit(cache=True)(_capped_simplex_loops)
-
-USING_NUMBA = _HAVE_NUMBA and _want_numba()
-
-if USING_NUMBA:
-    pairwise_sq_dists = pairwise_sq_dists_numba
-    capped_simplex_project = capped_simplex_project_numba
-else:
-    pairwise_sq_dists = pairwise_sq_dists_numpy
-    capped_simplex_project = capped_simplex_project_numpy

@@ -421,12 +421,24 @@ def _graph_files(directory: Path) -> list[Path]:
     return [p for _, p in sorted(files)]
 
 
+def _read_graph_stack(files: list[Path]) -> np.ndarray:
+    """Stack graph files into one array; they must share one edge count."""
+    graphs = [_read_graph_csv(p) for p in files]
+    m = graphs[0].shape[0]
+    for path, weights in zip(files, graphs):
+        if weights.shape[0] != m:
+            raise CsvShapeError(
+                f"{path}: {weights.shape[0]} edges, but {files[0]} has {m}"
+            )
+    return np.stack(graphs)
+
+
 def _cmd_analyze(cfg: RunConfig) -> None:
     directory = Path(cfg.input_path)
     files = _graph_files(directory)
     if len(files) < 2:
         raise DataError(f"{directory}: need at least 2 graph_<t>.csv files")
-    w_seq = np.stack([_read_graph_csv(p) for p in files])
+    w_seq = _read_graph_stack(files)
     corr = graph_correlation_matrix(w_seq)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -445,7 +457,7 @@ def _cmd_consensus(cfg: RunConfig) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for t in range(n_windows):
-        graphs = np.stack([_read_graph_csv(files[t]) for files in per_trial])
+        graphs = _read_graph_stack([files[t] for files in per_trial])
         result = consensus_graph(graphs, cfg.prob_threshold, cfg.count_threshold)
         n = n_nodes_for_edges(graphs.shape[1])
         i_idx, j_idx = edge_pairs(n)

@@ -3,11 +3,13 @@
 Each iteration runs, in order and for every window: a closed-form update of
 the denoised signals X_t, a projected gradient step on the edge weights W_t,
 a proximal update of the splitting variables Z_t that stand in for
-W_t - W_{t+1}, and a dual step on the multipliers beta_t.
+W_t - W_{t+1}, and a dual step on the multipliers beta_t.  The static fit
+runs the same loop on a single window, where the Z and beta steps drop out.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -95,14 +97,18 @@ class SolverConfig:
     window_len: int | None = None
 
     def __post_init__(self):
-        if self.k_budget <= 0:
-            raise InfeasibleBudgetError(f"k_budget must be positive, got {self.k_budget}")
+        if not (math.isfinite(self.k_budget) and self.k_budget > 0):
+            raise InfeasibleBudgetError(
+                f"k_budget must be positive and finite, got {self.k_budget}"
+            )
         for name in ("gamma", "eta", "alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         for name in ("lam", "tau1", "tau2", "tol_obj", "tol_residual"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.z_update_mode not in Z_UPDATE_MODES:
@@ -370,46 +376,5 @@ def fit_static(y, cfg: SolverConfig):
     cfg.validate_for(y.shape[0])
     whole = replace(cfg, window_len=y.shape[1])
     y_windows = window_signals(y, whole.window_len)
-
-    state = _initial_state(y_windows, whole)
-    converged = False
-    while state.iteration < whole.max_iter:
-        x_new = update_x(y_windows[0], state.w[0], whole.gamma, whole.eta, window=0)
-        interim = SolverState(
-            x=x_new[np.newaxis], w=state.w, z=state.z, beta=state.beta
-        )
-        raw = state.w[0] - whole.tau1 * grad_w(0, interim, whole)
-        w_new = project_capped_simplex(raw, whole.k_budget).projected
-        obj = objective(
-            y_windows,
-            interim.x,
-            w_new[np.newaxis],
-            gamma=whole.gamma,
-            eta=whole.eta,
-            alpha=whole.alpha,
-        )
-        if not np.isfinite(obj):
-            raise DivergenceError(
-                f"objective became non-finite at iteration "
-                f"{state.iteration + 1}; reduce tau1"
-            )
-        state = SolverState(
-            x=interim.x,
-            w=w_new[np.newaxis],
-            z=state.z,
-            beta=state.beta,
-            iteration=state.iteration + 1,
-            obj_history=state.obj_history + [obj],
-        )
-        if _converged(state, whole):
-            converged = True
-            break
-
-    report = FitReport(
-        converged=converged,
-        iterations=state.iteration,
-        final_objective=state.obj_history[-1],
-        final_residual=0.0,
-        per_window_change=(),
-    )
+    state, report = _run(y_windows, whole)
     return state.w[0], state.x[0], report

@@ -156,6 +156,34 @@ class TestRun:
         assert run(["--mode", "analyze", "--input", str(fit_dir),
                     "--out", str(tmp_path / "o")]) == 2
 
+    @staticmethod
+    def _write_graph(directory, t, n):
+        directory.mkdir(parents=True, exist_ok=True)
+        rows = [f"{i},{j},0.5" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        (directory / f"graph_{t}.csv").write_text("\n".join(["i,j,w"] + rows) + "\n")
+
+    def test_mismatched_edge_counts_in_analyze_is_data_error(self, tmp_path, capsys):
+        fit_dir = tmp_path / "fit"
+        self._write_graph(fit_dir, 1, 3)  # 3 edges
+        self._write_graph(fit_dir, 2, 4)  # 6 edges
+        assert run(["--mode", "analyze", "--input", str(fit_dir),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert str(fit_dir / "graph_2.csv") in capsys.readouterr().err
+
+    def test_mismatched_edge_counts_in_consensus_is_data_error(self, tmp_path, capsys):
+        trials = tmp_path / "trials"
+        self._write_graph(trials / "t0", 1, 3)
+        self._write_graph(trials / "t1", 1, 4)
+        assert run(["--mode", "consensus", "--input", str(trials),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert str(trials / "t1" / "graph_1.csv") in capsys.readouterr().err
+
+    def test_non_finite_hyperparameter_is_usage_error(self, tmp_path):
+        path = self._write_signals(tmp_path)
+        assert run(["--mode", "static", "--input", str(path),
+                    "--out", str(tmp_path / "o"), "--k", "2",
+                    "--gamma", "nan"]) == 1
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tvglearn" in capsys.readouterr().out

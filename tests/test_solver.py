@@ -3,6 +3,7 @@ import pytest
 
 from tvglearn import (
     DivergenceError,
+    InfeasibleBudgetError,
     SingularSystemError,
     SolverConfig,
     fit_dynamic,
@@ -291,17 +292,16 @@ class TestFits:
             )
             w_dyn, x_dyn, rep_dyn = fit_dynamic(y, cfg)
             w_sta, x_sta, rep_sta = fit_static(y, cfg)
-            np.testing.assert_allclose(w_dyn[0], w_sta, atol=1e-8)
-            np.testing.assert_allclose(x_dyn[0], x_sta, atol=1e-8)
-            assert rep_dyn.iterations == rep_sta.iterations
+            # the static fit is the dynamic loop on one window: bit for bit
+            assert np.array_equal(w_dyn[0], w_sta)
+            assert np.array_equal(x_dyn[0], x_sta)
+            assert rep_dyn == rep_sta
 
     def test_window_len_required_for_dynamic(self):
         with pytest.raises(ValueError):
             fit_dynamic(np.zeros((3, 10)), SolverConfig(k_budget=1.0))
 
     def test_infeasible_budget_detected(self):
-        from tvglearn import InfeasibleBudgetError
-
         cfg = SolverConfig(k_budget=10.0, window_len=5)
         with pytest.raises(InfeasibleBudgetError):
             fit_dynamic(np.zeros((3, 10)), cfg)
@@ -322,6 +322,13 @@ class TestFits:
             SolverConfig(k_budget=1.0, z_update_mode="bogus")
         with pytest.raises(ValueError):
             SolverConfig(k_budget=1.0, dual_sign="bogus")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InfeasibleBudgetError):
+                SolverConfig(k_budget=bad)
+            for name in ("gamma", "eta", "alpha", "lam", "tau1", "tau2",
+                         "tol_obj", "tol_residual"):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(k_budget=1.0, **{name: bad})
 
     def test_update_rule_formulas_per_mode(self):
         # one step from a handcrafted state, checked against the literal
