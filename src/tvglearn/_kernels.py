@@ -1,5 +1,7 @@
 """Hot numeric kernels: pairwise squared distances and capped-simplex projection."""
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["pairwise_sq_dists", "capped_simplex_project"]
@@ -8,31 +10,58 @@ __all__ = ["pairwise_sq_dists", "capped_simplex_project"]
 # record them alongside their results.
 USING_NUMBA = _HAVE_NUMBA = False
 
-_MAX_BISECT = 200
+_MAX_STEPS = 200  # cap on root-finding steps per projection
 _WIDTH_EPS = 1e-14  # stop once the kappa bracket collapses to this width
+
+
+@lru_cache(maxsize=128)
+def triu_pairs(n_nodes):
+    """Read-only (i_idx, j_idx) of the row-major upper-triangular pairs i < j."""
+    i_idx, j_idx = np.triu_indices(n_nodes, k=1)
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
+    return i_idx, j_idx
 
 
 def pairwise_sq_dists(x):
     """Squared distances ||x_i - x_j||^2 for all node pairs i < j.
 
     Pairs follow row-major upper-triangular order; ``x`` is the (n, s) block
-    of per-node signal rows.
+    of per-node signal rows.  The distances come from the Gram matrix,
+    ``G_ii + G_jj - 2 G_ij``, of the centred block.  A common shift leaves
+    the distances unchanged, and centring keeps the cancellation error
+    relative to the spread of the rows rather than to their offset.  The
+    block is shifted by its first row before its across-node mean, so rows
+    equal to the first centre to exact zeros at any scale.
     """
-    n = x.shape[0]
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    d = x[i_idx] - x[j_idx]
-    return np.einsum("es,es->e", d, d)
+    i_idx, j_idx = triu_pairs(x.shape[0])
+    xc = x - x[0]
+    xc -= xc.mean(axis=0)
+    gram = xc @ xc.T
+    sq = gram.diagonal()
+    d = sq[i_idx] + sq[j_idx]
+    d -= 2.0 * gram[i_idx, j_idx]
+    return np.maximum(d, 0.0, out=d)
 
 
 def capped_simplex_project(w, k, tol):
-    """Project ``w`` onto {0 <= v <= 1, sum(v) = k} by bisection on kappa."""
+    """Project ``w`` onto {0 <= v <= 1, sum(v) = k}.
+
+    Finds the shift kappa with sum(clip(w - kappa, 0, 1)) = k by safeguarded
+    Newton steps on that piecewise-linear sum: a Newton step is taken when it
+    lands strictly inside the current bracket on kappa, and the bracket is
+    bisected otherwise.  Where the sum is flat (no coordinate strictly inside
+    (0, 1)) the bracket end first moves to the end of the flat stretch.
+    Returns the projected point, kappa and the number of root-finding steps
+    (at least 1).
+    """
     lo = float(w.min()) - 1.0
     hi = float(w.max())
     kappa = 0.5 * (lo + hi)
     iters = 0
-    while iters < _MAX_BISECT:
-        kappa = 0.5 * (lo + hi)
-        g = np.clip(w - kappa, 0.0, 1.0).sum() - k
+    while iters < _MAX_STEPS:
+        v = w - kappa
+        g = np.clip(v, 0.0, 1.0).sum() - k
         iters += 1
         if abs(g) <= tol or (hi - lo) <= _WIDTH_EPS:
             break
@@ -40,6 +69,20 @@ def capped_simplex_project(w, k, tol):
             lo = kappa
         else:
             hi = kappa
+        # g falls with slope -n_interior between breakpoints
+        n_interior = np.count_nonzero((v > 0.0) & (v < 1.0))
+        if n_interior:
+            newton = kappa + g / n_interior
+            if lo < newton < hi:
+                kappa = newton
+                continue
+        elif g > 0.0:
+            # g is flat, and keeps its sign, up to the nearest breakpoint
+            # toward the root; move that bracket end there
+            lo = float(w[v >= 1.0].min()) - 1.0
+        else:
+            hi = float(w[v <= 0.0].max())
+        kappa = 0.5 * (lo + hi)
 
     v = w - kappa
     interior = (v > 0.0) & (v < 1.0)
@@ -58,7 +101,7 @@ def capped_simplex_project(w, k, tol):
 
     out = np.clip(v, 0.0, 1.0)
     if n_interior > 0:
-        # Spread the leftover bisection residual over the interior
+        # Spread the leftover root-finding residual over the interior
         # coordinates; this is an exact shift of kappa in disguise.
         out[interior] = np.clip(out[interior] + (k - out.sum()) / n_interior, 0.0, 1.0)
     return out, float(kappa), iters

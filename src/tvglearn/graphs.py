@@ -11,8 +11,6 @@ is a 3-D array of shape (n_windows, n_nodes, window_len).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import _kernels
@@ -49,19 +47,11 @@ def n_nodes_for_edges(m: int) -> int:
     return n
 
 
-@lru_cache(maxsize=128)
-def _edge_pairs_cached(n_nodes: int):
-    i_idx, j_idx = np.triu_indices(n_nodes, k=1)
-    i_idx.setflags(write=False)
-    j_idx.setflags(write=False)
-    return i_idx, j_idx
-
-
 def edge_pairs(n_nodes: int):
     """Arrays (i_idx, j_idx) of the node pair behind each edge index."""
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
-    return _edge_pairs_cached(n_nodes)
+    return _kernels.triu_pairs(n_nodes)
 
 
 def as_signal_matrix(values) -> np.ndarray:

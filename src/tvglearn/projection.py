@@ -1,8 +1,9 @@
 """Euclidean projection onto the capped simplex {0 <= w <= 1, sum(w) = K}.
 
 The projected point is clip(w - kappa, 0, 1) for the scalar shift kappa that
-makes the sum constraint hold; kappa is found by monotone bisection on the
-piecewise-linear clipped sum.
+makes the sum constraint hold; kappa is found by safeguarded Newton steps on
+the piecewise-linear clipped sum, with bisection of a bracket on kappa as the
+fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Feasible point, the shift that produced it, and bisection effort."""
+    """Feasible point, the shift that produced it, and root-finding steps."""
 
     projected: np.ndarray
     kappa: float
@@ -38,7 +39,7 @@ def project_capped_simplex(raw, k: float, tol: float = DEFAULT_TOL) -> Projectio
     k : float
         Required total weight, 0 < k <= m.
     tol : float
-        Bisection stop tolerance on |sum(projected) - k|.
+        Root-finding stop tolerance on |sum(projected) - k|.
 
     Returns
     -------

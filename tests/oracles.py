@@ -104,6 +104,19 @@ def breakpoint_projection(w, k):
     return np.clip(w - kappa, 0.0, 1.0), float(kappa)
 
 
+def pairwise_sq_dists_loops(x):
+    """Squared row distances ||x_i - x_j||^2 for i < j, one pair at a time,
+    in row-major upper-triangular order."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = x[i] - x[j]
+            out.append(float(diff @ diff))
+    return np.array(out)
+
+
 def golden_min(fn, lo, hi, iters=200):
     """Golden-section minimizer of a unimodal scalar function."""
     a, b = float(lo), float(hi)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import tvglearn as tg
-from tvglearn import _kernels
 from tvglearn.cli import ingest_csv, run
 from tvglearn.graphs import n_edges, objective
 from tvglearn.solver import SolverState, grad_w, update_x
@@ -25,7 +24,6 @@ def _passed(n, text):
 
 def test_01_projection_matches_kkt_enumeration():
     rng = np.random.default_rng(101)
-    _kernels.capped_simplex_project(np.array([0.5, 0.2]), 0.4, 1e-10)  # JIT warmup
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):

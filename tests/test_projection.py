@@ -112,6 +112,30 @@ class TestProperties:
             np.testing.assert_allclose(res.projected, expected, atol=1e-8)
             assert res.kappa == pytest.approx(kappa, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize(
+        "kind", ["linspace", "geomspace", "cauchy", "ties", "spike", "lognormal"]
+    )
+    def test_hard_inputs_match_breakpoint_method_in_few_steps(self, n, kind):
+        m = n * (n - 1) // 2
+        rng = np.random.default_rng(31)
+        raw = {
+            "linspace": lambda: np.linspace(-3.0, 3.0, m),
+            "geomspace": lambda: np.geomspace(1e-6, 1e3, m),
+            "cauchy": lambda: rng.standard_cauchy(m),
+            "ties": lambda: np.round(rng.normal(size=m), 1),
+            "spike": lambda: np.concatenate([[1e6], np.zeros(m - 1)]),
+            "lognormal": lambda: rng.lognormal(0.0, 5.0, size=m),
+        }[kind]()
+        k = float(n - 1)
+        res = project_capped_simplex(raw, k)
+        expected, kappa = oracles.breakpoint_projection(raw, k)
+        np.testing.assert_allclose(res.projected, expected, rtol=0, atol=1e-12)
+        assert res.kappa == pytest.approx(kappa, rel=0, abs=1e-12)
+        # bisection alone needs 39-61 steps on the linspace, Cauchy, ties and
+        # spike inputs
+        assert 1 <= res.iterations <= 20
+
     def test_flat_interval_midpoint_kappa(self):
         # integer budget met by fully clamped coordinates: the optimal shift
         # is a whole interval, and the midpoint is reported
