@@ -23,6 +23,15 @@ def triu_pairs(n_nodes):
     return i_idx, j_idx
 
 
+@lru_cache(maxsize=128)
+def triu_flat(n_nodes):
+    """Read-only flat index ``i*n + j`` into an (n, n) matrix of each pair."""
+    i_idx, j_idx = triu_pairs(n_nodes)
+    flat = i_idx * n_nodes + j_idx
+    flat.setflags(write=False)
+    return flat
+
+
 def pairwise_sq_dists(x):
     """Squared distances ||x_i - x_j||^2 for all node pairs i < j.
 
@@ -44,24 +53,36 @@ def pairwise_sq_dists(x):
     return np.maximum(d, 0.0, out=d)
 
 
-def capped_simplex_project(w, k, tol):
+def _clip01(v):
+    # np.clip costs about twice as much per call on a few hundred entries
+    return np.minimum(np.maximum(v, 0.0), 1.0)
+
+
+def capped_simplex_project(w, k, tol, start=None):
     """Project ``w`` onto {0 <= v <= 1, sum(v) = k}.
 
     Finds the shift kappa with sum(clip(w - kappa, 0, 1)) = k by safeguarded
     Newton steps on that piecewise-linear sum: a Newton step is taken when it
     lands strictly inside the current bracket on kappa, and the bracket is
     bisected otherwise.  Where the sum is flat (no coordinate strictly inside
-    (0, 1)) the bracket end first moves to the end of the flat stretch.
+    (0, 1)) the bracket end first moves to the end of the flat stretch.  The
+    first step evaluates ``start`` when it lies strictly inside the initial
+    bracket [min(w) - 1, max(w)], and the bracket midpoint otherwise.
     Returns the projected point, kappa and the number of root-finding steps
     (at least 1).
     """
     lo = float(w.min()) - 1.0
     hi = float(w.max())
-    kappa = 0.5 * (lo + hi)
+    if start is not None and lo < start < hi:
+        kappa = float(start)
+    else:
+        kappa = 0.5 * (lo + hi)
     iters = 0
     while iters < _MAX_STEPS:
         v = w - kappa
-        g = np.clip(v, 0.0, 1.0).sum() - k
+        out = _clip01(v)
+        evaluated = kappa
+        g = out.sum() - k
         iters += 1
         if abs(g) <= tol or (hi - lo) <= _WIDTH_EPS:
             break
@@ -84,9 +105,11 @@ def capped_simplex_project(w, k, tol):
             hi = float(w[v <= 0.0].max())
         kappa = 0.5 * (lo + hi)
 
-    v = w - kappa
+    if kappa != evaluated:  # the step cap ended the loop after a move
+        v = w - kappa
+        out = _clip01(v)
     interior = (v > 0.0) & (v < 1.0)
-    n_interior = int(interior.sum())
+    n_interior = np.count_nonzero(interior)
     if n_interior == 0:
         # No coordinate is strictly inside (0, 1): the root is a whole
         # interval between the nearest breakpoints; take its midpoint (the
@@ -96,12 +119,12 @@ def capped_simplex_project(w, k, tol):
         right = high.min() - 1.0 if high.size else kappa
         kappa = 0.5 * (low_max + right)
         v = w - kappa
+        out = _clip01(v)
         interior = (v > 0.0) & (v < 1.0)
-        n_interior = int(interior.sum())
+        n_interior = np.count_nonzero(interior)
 
-    out = np.clip(v, 0.0, 1.0)
     if n_interior > 0:
         # Spread the leftover root-finding residual over the interior
         # coordinates; this is an exact shift of kappa in disguise.
-        out[interior] = np.clip(out[interior] + (k - out.sum()) / n_interior, 0.0, 1.0)
+        out[interior] = _clip01(out[interior] + (k - out.sum()) / n_interior)
     return out, float(kappa), iters

@@ -96,21 +96,19 @@ def _as_edge_vector(weights) -> tuple[np.ndarray, int]:
 def weight_matrix(weights) -> np.ndarray:
     """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
     w, n = _as_edge_vector(weights)
-    i_idx, j_idx = edge_pairs(n)
-    mat = np.zeros((n, n))
-    mat[i_idx, j_idx] = w
-    mat[j_idx, i_idx] = w
-    return mat
+    mat = np.zeros(n * n)
+    mat[_kernels.triu_flat(n)] = w
+    mat = mat.reshape(n, n)
+    return mat + mat.T
 
 
 def degrees(weights) -> np.ndarray:
     """Per-node degree vector d_i = sum_j w_ij."""
     w, n = _as_edge_vector(weights)
     i_idx, j_idx = edge_pairs(n)
-    deg = np.zeros(n)
-    np.add.at(deg, i_idx, w)
-    np.add.at(deg, j_idx, w)
-    return deg
+    return np.bincount(i_idx, weights=w, minlength=n) + np.bincount(
+        j_idx, weights=w, minlength=n
+    )
 
 
 def degree_matrix(weights) -> np.ndarray:
@@ -192,13 +190,24 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
         raise ValueError("Y and X window stacks must share a shape")
     if y_windows.ndim != 3 or y_windows.shape[0] != w_seq.shape[0]:
         raise ValueError("window count mismatch between signals and graphs")
+    if w_seq.ndim != 2:
+        raise ValueError("graph sequence must be a (n_windows, n_edges) array")
+    n = n_nodes_for_edges(w_seq.shape[1])
+    if y_windows.shape[1] != n:
+        raise ValueError(
+            f"signal blocks with {y_windows.shape[1]} rows do not match "
+            f"graphs on {n} nodes"
+        )
 
     total = 0.0
     for t in range(w_seq.shape[0]):
-        resid = y_windows[t] - x_windows[t]
+        x, w = x_windows[t], w_seq[t]
+        resid = y_windows[t] - x
         total += float(np.einsum("ns,ns->", resid, resid))
-        total += gamma * smoothness_term(w_seq[t], x_windows[t])
-        total -= eta * energy_penalty_term(w_seq[t], x_windows[t])
+        total += gamma * float(w @ _kernels.pairwise_sq_dists(x))
+        # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
+        row_energy = np.einsum("ns,ns->n", x, x)
+        total -= eta * float(degrees(w) @ row_energy)
     if w_seq.shape[0] > 1:
         total += alpha * float(temporal_variation(w_seq).sum())
     return total

@@ -3,7 +3,8 @@
 The projected point is clip(w - kappa, 0, 1) for the scalar shift kappa that
 makes the sum constraint hold; kappa is found by safeguarded Newton steps on
 the piecewise-linear clipped sum, with bisection of a bracket on kappa as the
-fallback.
+fallback.  A guess for kappa, such as the previous iteration's, can start the
+search.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ class ProjectionResult:
     iterations: int
 
 
-def project_capped_simplex(raw, k: float, tol: float = DEFAULT_TOL) -> ProjectionResult:
+def project_capped_simplex(
+    raw, k: float, tol: float = DEFAULT_TOL, start: float | None = None
+) -> ProjectionResult:
     """Project a raw edge vector onto {0 <= w <= 1, sum(w) = k}.
 
     Parameters
@@ -40,6 +43,11 @@ def project_capped_simplex(raw, k: float, tol: float = DEFAULT_TOL) -> Projectio
         Required total weight, 0 < k <= m.
     tol : float
         Root-finding stop tolerance on |sum(projected) - k|.
+    start : float or None
+        First kappa to evaluate, for example the shift of the previous
+        projection of a nearby vector.  Ignored unless it lies strictly
+        inside the bracket [min(raw) - 1, max(raw)]; the projected point
+        does not depend on it beyond the root-finding tolerance.
 
     Returns
     -------
@@ -60,7 +68,9 @@ def project_capped_simplex(raw, k: float, tol: float = DEFAULT_TOL) -> Projectio
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    projected, kappa, iters = _kernels.capped_simplex_project(w, float(k), float(tol))
+    projected, kappa, iters = _kernels.capped_simplex_project(
+        w, float(k), float(tol), start
+    )
     return ProjectionResult(projected=projected, kappa=kappa, iterations=iters)
 
 

@@ -14,18 +14,17 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from . import _kernels
 from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
 from .graphs import (
     as_signal_matrix,
-    degrees,
     edge_pairs,
-    laplacian,
     n_edges,
     objective,
     temporal_variation,
+    weight_matrix,
     window_signals,
 )
 from .projection import project_capped_simplex
@@ -160,6 +159,7 @@ class SolverState:
     iteration: int = 0
     obj_history: list = field(default_factory=list)
     residual: float = 0.0
+    kappa: np.ndarray | None = None  # (b,) last projection shifts, or None
 
     @property
     def n_windows(self) -> int:
@@ -189,23 +189,29 @@ class FitReport:
 def update_x(y_block, weights, gamma: float, eta: float, window: int | None = None):
     """Exact minimizer of the objective in one window's denoised signals.
 
-    Solves (I + gamma*L(W) - eta*D(W)) X = Y through a Cholesky
-    factorization; the system matrix must be positive definite.
+    Solves (I + gamma*L(W) - eta*D(W)) X = Y with the Cholesky factor
+    A = C C^T as X = C^-T (C^-1 Y); the system matrix must be positive
+    definite.  Raises ValueError on non-finite weights or signals.
     """
     y_block = np.asarray(y_block, dtype=np.float64)
-    a = gamma * laplacian(weights)
-    diag_shift = 1.0 - eta * degrees(weights)
-    a[np.diag_indices_from(a)] += diag_shift
-    try:
-        factor = cho_factor(a, lower=True)
-    except LinAlgError as exc:
+    w = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(w).all() and np.isfinite(y_block).all()):
+        raise ValueError("weights and signals must not contain infs or NaNs")
+    a = weight_matrix(w)  # checks the shape and the edge count
+    deg = a.sum(axis=1)
+    a *= -gamma
+    a.flat[:: a.shape[0] + 1] = gamma * deg + (1.0 - eta * deg)
+    # a is symmetric, so its transpose is the same matrix in Fortran order
+    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
+    if info > 0:
         where = "window ?" if window is None else f"window {window}"
         raise SingularSystemError(
             f"{where}: I + gamma*L - eta*D is not positive definite "
             f"(try a smaller eta)",
             window=window,
-        ) from exc
-    return cho_solve(factor, y_block)
+        )
+    inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    return inv_factor.T @ (inv_factor @ y_block)
 
 
 def grad_w(t: int, state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -251,9 +257,13 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
     )
     w_new = np.empty_like(state.w)
+    kappa = np.empty(b)
     for t in range(b):
         raw = state.w[t] - cfg.tau1 * grad_w(t, interim, cfg)
-        w_new[t] = project_capped_simplex(raw, cfg.k_budget).projected
+        start = None if state.kappa is None else state.kappa[t]
+        proj = project_capped_simplex(raw, cfg.k_budget, start=start)
+        w_new[t] = proj.projected
+        kappa[t] = proj.kappa
 
     if b > 1:
         diff = w_new[:-1] - w_new[1:]
@@ -282,6 +292,7 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         beta=beta_new,
         iteration=state.iteration + 1,
         obj_history=state.obj_history + [obj],
+        kappa=kappa,
     )
     new_state.residual = _residual(new_state)
     return new_state

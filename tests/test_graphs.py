@@ -59,6 +59,9 @@ class TestLaplacian:
             np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
             assert np.linalg.eigvalsh(lap).min() >= -1e-10
             np.testing.assert_allclose(lap, oracles.dense_laplacian(w), atol=1e-15)
+            dense = oracles.dense_weight_matrix(w)
+            np.testing.assert_array_equal(graphs.weight_matrix(w), dense)
+            np.testing.assert_allclose(graphs.degrees(w), dense.sum(axis=1), rtol=1e-14)
 
 
 class TestTerms:

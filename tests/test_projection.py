@@ -7,6 +7,24 @@ from tvglearn.projection import is_feasible, project_capped_simplex
 import oracles
 
 
+HARD_KINDS = ["linspace", "geomspace", "cauchy", "ties", "spike", "lognormal"]
+
+
+def _hard_input(n, kind):
+    """A raw vector on n nodes that is hard for bisection, and k = n - 1."""
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(31)
+    raw = {
+        "linspace": lambda: np.linspace(-3.0, 3.0, m),
+        "geomspace": lambda: np.geomspace(1e-6, 1e3, m),
+        "cauchy": lambda: rng.standard_cauchy(m),
+        "ties": lambda: np.round(rng.normal(size=m), 1),
+        "spike": lambda: np.concatenate([[1e6], np.zeros(m - 1)]),
+        "lognormal": lambda: rng.lognormal(0.0, 5.0, size=m),
+    }[kind]()
+    return raw, float(n - 1)
+
+
 class TestBasics:
     def test_feasible_point_unchanged(self):
         raw = np.array([0.5, 0.5])
@@ -113,21 +131,9 @@ class TestProperties:
             assert res.kappa == pytest.approx(kappa, abs=1e-8)
 
     @pytest.mark.parametrize("n", [20, 100])
-    @pytest.mark.parametrize(
-        "kind", ["linspace", "geomspace", "cauchy", "ties", "spike", "lognormal"]
-    )
+    @pytest.mark.parametrize("kind", HARD_KINDS)
     def test_hard_inputs_match_breakpoint_method_in_few_steps(self, n, kind):
-        m = n * (n - 1) // 2
-        rng = np.random.default_rng(31)
-        raw = {
-            "linspace": lambda: np.linspace(-3.0, 3.0, m),
-            "geomspace": lambda: np.geomspace(1e-6, 1e3, m),
-            "cauchy": lambda: rng.standard_cauchy(m),
-            "ties": lambda: np.round(rng.normal(size=m), 1),
-            "spike": lambda: np.concatenate([[1e6], np.zeros(m - 1)]),
-            "lognormal": lambda: rng.lognormal(0.0, 5.0, size=m),
-        }[kind]()
-        k = float(n - 1)
+        raw, k = _hard_input(n, kind)
         res = project_capped_simplex(raw, k)
         expected, kappa = oracles.breakpoint_projection(raw, k)
         np.testing.assert_allclose(res.projected, expected, rtol=0, atol=1e-12)
@@ -135,6 +141,20 @@ class TestProperties:
         # bisection alone needs 39-61 steps on the linspace, Cauchy, ties and
         # spike inputs
         assert 1 <= res.iterations <= 20
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    def test_warm_start_gives_the_cold_start_result(self, n, kind):
+        raw, k = _hard_input(n, kind)
+        cold = project_capped_simplex(raw, k)
+        lo, hi = raw.min() - 1.0, raw.max()
+        starts = [cold.kappa + d for d in (0.0, -1e-3, 1e-3, -10.0, 10.0)]
+        starts += [np.nan, lo, hi, lo - 5.0, hi + 5.0]
+        for start in starts:
+            warm = project_capped_simplex(raw, k, start=start)
+            np.testing.assert_allclose(warm.projected, cold.projected, rtol=0, atol=1e-12)
+            assert warm.kappa == pytest.approx(cold.kappa, rel=0, abs=1e-12)
+        assert project_capped_simplex(raw, k, start=cold.kappa).iterations == 1
 
     def test_flat_interval_midpoint_kappa(self):
         # integer budget met by fully clamped coordinates: the optimal shift

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,38 @@ class TestUpdateX:
             a -= eta * np.diag(np.diag(oracles.dense_laplacian(w)))
             resid = np.linalg.norm(a @ x - y)
             assert resid <= 1e-8 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("n, s", [(20, 200), (100, 200), (20, 1600)])
+    @pytest.mark.parametrize("eta_scale", [0.0, 0.9])
+    def test_matches_dense_solve(self, n, s, eta_scale):
+        rng = np.random.default_rng(n + s)
+        y = rng.normal(size=(n, s))
+        w = rng.uniform(0.0, 1.0, size=n_edges(n))
+        gamma, eta = 0.7, eta_scale / (n - 1)
+        lap = oracles.dense_laplacian(w)
+        a = np.eye(n) + gamma * lap - eta * np.diag(np.diag(lap))
+        expected = np.linalg.solve(a, y)
+        x = update_x(y, w, gamma, eta)
+        np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize("bad", ["nan weight", "inf weight", "inf signal"])
+    def test_non_finite_input_raises_without_warning(self, bad, eta):
+        y = np.ones((3, 4))
+        w = np.array([0.5, 0.2, 0.3])
+        if bad == "inf signal":
+            y[1, 2] = np.inf
+        else:
+            w[1] = np.nan if bad == "nan weight" else np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                update_x(y, w, 1.0, eta)
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+
+    def test_wrong_edge_count(self):
+        with pytest.raises(ValueError):
+            update_x(np.ones((3, 4)), np.ones(4), 1.0, 0.0)
 
 
 class TestGradW:
@@ -179,6 +213,24 @@ class TestStep:
                 state = step(state, y, cfg)
             diffs = np.diff(state.obj_history)
             assert diffs.max() <= 1e-10
+
+    def test_warm_started_kappa_matches_cold_start(self):
+        rng = np.random.default_rng(21)
+        cfg = SolverConfig(k_budget=3.0, window_len=20, gamma=0.3, alpha=0.1)
+        y = rng.normal(size=(3, 6, 20))
+        warm = cold = _initial_state(y, cfg)
+        assert warm.kappa is None
+        for _ in range(50):
+            warm = step(warm, y, cfg)
+            cold.kappa = None
+            cold = step(cold, y, cfg)
+            assert warm.kappa.shape == (3,)
+            # kappa itself is not compared: on a flat stretch of the clipped
+            # sum every shift gives the same point
+            for name in ("w", "x", "z", "beta", "obj_history"):
+                np.testing.assert_allclose(
+                    getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12
+                )
 
     def test_golden_trace_two_windows(self):
         # frozen from a straight-line reference implementation of the same
