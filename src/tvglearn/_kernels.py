@@ -43,88 +43,138 @@ def pairwise_sq_dists(x):
     block is shifted by its first row before its across-node mean, so rows
     equal to the first centre to exact zeros at any scale.
     """
-    i_idx, j_idx = triu_pairs(x.shape[0])
+    n = x.shape[0]
+    i_idx, j_idx = triu_pairs(n)
     xc = x - x[0]
-    xc -= xc.mean(axis=0)
+    xc -= np.add.reduce(xc, 0) / n  # the mean, without ndarray.mean's wrapper
     gram = xc @ xc.T
     sq = gram.diagonal()
     d = sq[i_idx] + sq[j_idx]
-    d -= 2.0 * gram[i_idx, j_idx]
+    d -= 2.0 * gram.ravel()[triu_flat(n)]
     return np.maximum(d, 0.0, out=d)
 
 
-def _clip01(v):
+def _clip01(v, out=None):
     # np.clip costs about twice as much per call on a few hundred entries
-    return np.minimum(np.maximum(v, 0.0), 1.0)
+    out = np.maximum(v, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def capped_simplex_project(w, k, tol, start=None):
-    """Project ``w`` onto {0 <= v <= 1, sum(v) = k}.
+    """Project each row of ``w`` onto {0 <= v <= 1, sum(v) = k}.
 
-    Finds the shift kappa with sum(clip(w - kappa, 0, 1)) = k by safeguarded
-    Newton steps on that piecewise-linear sum: a Newton step is taken when it
-    lands strictly inside the current bracket on kappa, and the bracket is
+    ``w`` is one (m,) vector or a (b, m) stack of them.  For each row, finds
+    the shift kappa with sum(clip(w - kappa, 0, 1)) = k by safeguarded Newton
+    steps on that piecewise-linear sum: a Newton step is taken when it lands
+    strictly inside the row's current bracket on kappa, and the bracket is
     bisected otherwise.  Where the sum is flat (no coordinate strictly inside
     (0, 1)) the bracket end first moves to the end of the flat stretch.  The
-    first step evaluates ``start`` when it lies strictly inside the initial
-    bracket [min(w) - 1, max(w)], and the bracket midpoint otherwise.
-    Returns the projected point, kappa and the number of root-finding steps
-    (at least 1).
+    first step evaluates the row's ``start`` (None, one float, or one per
+    row) when it lies strictly inside the initial bracket
+    [min(w) - 1, max(w)], and the bracket midpoint otherwise.
+
+    The array work of a step runs once on the stack of rows still searching;
+    each row's bracket bookkeeping runs on Python floats, so every row comes
+    out as it would alone.  Returns the projected point(s), kappa (a float,
+    or a (b,) array for a stack) and the total number of root-finding steps
+    over all rows (at least 1 per row).
     """
-    lo = float(w.min()) - 1.0
-    hi = float(w.max())
-    if start is not None and lo < start < hi:
-        kappa = float(start)
+    stack = w if w.ndim == 2 else w.reshape(1, -1)
+    b = stack.shape[0]
+    lo = [low - 1.0 for low in np.minimum.reduce(stack, 1).tolist()]
+    hi = np.maximum.reduce(stack, 1).tolist()
+    if start is None:
+        starts = [None] * b
+    elif isinstance(start, float):
+        starts = [start] * b
     else:
-        kappa = 0.5 * (lo + hi)
-    iters = 0
-    while iters < _MAX_STEPS:
-        v = w - kappa
-        out = _clip01(v)
-        evaluated = kappa
-        g = out.sum() - k
-        iters += 1
-        if abs(g) <= tol or (hi - lo) <= _WIDTH_EPS:
-            break
-        if g > 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-        # g falls with slope -n_interior between breakpoints
-        n_interior = np.count_nonzero((v > 0.0) & (v < 1.0))
-        if n_interior:
-            newton = kappa + g / n_interior
-            if lo < newton < hi:
-                kappa = newton
-                continue
-        elif g > 0.0:
-            # g is flat, and keeps its sign, up to the nearest breakpoint
-            # toward the root; move that bracket end there
-            lo = float(w[v >= 1.0].min()) - 1.0
-        else:
-            hi = float(w[v <= 0.0].max())
-        kappa = 0.5 * (lo + hi)
+        starts = np.asarray(start, dtype=np.float64).tolist()
+    kappa = [
+        s if s is not None and lo_r < s < hi_r else 0.5 * (lo_r + hi_r)
+        for s, lo_r, hi_r in zip(starts, lo, hi)
+    ]
 
-    if kappa != evaluated:  # the step cap ended the loop after a move
-        v = w - kappa
-        out = _clip01(v)
+    rows = list(range(b))  # rows still searching, in the order of ``sub``
+    sub = stack
+    shift = np.array(kappa)[:, np.newaxis]  # (rows, 1), kept in step with kappa
+    # every step writes into the leading rows of two stack-sized buffers
+    v_buf, out_buf = np.empty_like(stack), np.empty_like(stack)
+    steps = total = 0
+    while rows:
+        v = np.subtract(sub, shift, out=v_buf[: len(rows)])
+        out = _clip01(v, out=out_buf[: len(rows)])
+        if steps == _MAX_STEPS:  # the step cap ends the search after a move
+            stop, go = rows, []
+        else:
+            steps += 1
+            total += len(rows)
+            g = np.add.reduce(out, 1).tolist()
+            stop, go = [], []
+            for a, r in enumerate(rows):
+                g[a] -= k
+                if abs(g[a]) <= tol or (hi[r] - lo[r]) <= _WIDTH_EPS:
+                    stop.append(a)
+                    continue
+                go.append(a)
+                if g[a] > 0.0:
+                    lo[r] = kappa[r]
+                else:
+                    hi[r] = kappa[r]
+        if go:
+            v_go = v if not stop else v[go]
+            # g falls with slope -n_interior between breakpoints
+            n_interior = np.add.reduce((v_go > 0.0) & (v_go < 1.0), 1).tolist()
+            for c, a in enumerate(go):
+                r = rows[a]
+                if n_interior[c]:
+                    newton = kappa[r] + g[a] / n_interior[c]
+                    if lo[r] < newton < hi[r]:
+                        kappa[r] = shift[a, 0] = newton
+                        continue
+                elif g[a] > 0.0:
+                    # g is flat, and keeps its sign, up to the nearest
+                    # breakpoint toward the root; move that bracket end there
+                    lo[r] = float(stack[r][v_go[c] >= 1.0].min()) - 1.0
+                else:
+                    hi[r] = float(stack[r][v_go[c] <= 0.0].max())
+                kappa[r] = shift[a, 0] = 0.5 * (lo[r] + hi[r])
+            if stop:
+                rows = [rows[a] for a in go]
+                sub = stack[rows]
+                shift = shift[go]
+        else:
+            rows = []
+    if len(stop) != b:
+        # Rows stopped on different steps: evaluate each at the kappa it
+        # stopped on, which reproduces its last v and clipped v exactly.
+        v = np.subtract(stack, np.array(kappa)[:, np.newaxis], out=v_buf)
+        out = _clip01(v, out=out_buf)
+
     interior = (v > 0.0) & (v < 1.0)
-    n_interior = np.count_nonzero(interior)
-    if n_interior == 0:
-        # No coordinate is strictly inside (0, 1): the root is a whole
-        # interval between the nearest breakpoints; take its midpoint (the
-        # projected point is the same anywhere on the flat).
-        low_max = w[v <= 0.0].max() if np.any(v <= 0.0) else w.min() - 1.0
-        high = w[v >= 1.0]
-        right = high.min() - 1.0 if high.size else kappa
-        kappa = 0.5 * (low_max + right)
-        v = w - kappa
-        out = _clip01(v)
-        interior = (v > 0.0) & (v < 1.0)
-        n_interior = np.count_nonzero(interior)
-
-    if n_interior > 0:
+    n_interior = np.add.reduce(interior, 1).tolist()
+    total_w = np.add.reduce(out, 1).tolist()
+    spread = []
+    for r, count in enumerate(n_interior):
+        if count == 0:
+            # No coordinate is strictly inside (0, 1): the root is a whole
+            # interval between the nearest breakpoints; take its midpoint
+            # (the projected point is the same anywhere on the flat).
+            w_r, v_r = stack[r], v[r]
+            low = v_r <= 0.0
+            low_max = w_r[low].max() if low.any() else w_r.min() - 1.0
+            high = w_r[v_r >= 1.0]
+            right = high.min() - 1.0 if high.size else kappa[r]
+            kappa[r] = float(0.5 * (low_max + right))
+            np.subtract(w_r, kappa[r], out=v_r)
+            out[r] = _clip01(v_r)
+            interior[r] = (v_r > 0.0) & (v_r < 1.0)
+            count = np.count_nonzero(interior[r])
+            total_w[r] = out[r].sum()
         # Spread the leftover root-finding residual over the interior
         # coordinates; this is an exact shift of kappa in disguise.
-        out[interior] = _clip01(out[interior] + (k - out.sum()) / n_interior)
-    return out, float(kappa), iters
+        spread.append((k - total_w[r]) / count if count else 0.0)
+    moved = np.add(out, np.array(spread)[:, np.newaxis], out=v)  # v is spent
+    np.copyto(out, _clip01(moved, out=moved), where=interior)
+    if w.ndim == 1:
+        return out[0], float(kappa[0]), total
+    return out, np.array(kappa), total

@@ -387,6 +387,13 @@ def _cmd_fit(cfg: RunConfig) -> None:
     else:
         w, x, report = fit_static(y, cfg.solver)
         w_seq, x_windows = w[np.newaxis], x
+    if report.stop_reason == "max_iter":
+        print(
+            f"warning: stopped at max_iter={cfg.solver.max_iter} before the "
+            f"stopping criteria were met (final residual "
+            f"{report.final_residual:.3g})",
+            file=sys.stderr,
+        )
     emit_results(
         w_seq, x_windows, report, cfg.output_dir, cfg.solver, cfg.seed, cfg.mode
     )

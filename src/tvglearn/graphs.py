@@ -11,6 +11,8 @@ is a 3-D array of shape (n_windows, n_nodes, window_len).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -41,7 +43,7 @@ def n_edges(n_nodes: int) -> int:
 
 def n_nodes_for_edges(m: int) -> int:
     """Inverse of :func:`n_edges`; raises if ``m`` is not a valid edge count."""
-    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
     if n < 2 or n_edges(n) != m:
         raise ValueError(f"{m} is not n*(n-1)/2 for any integer n >= 2")
     return n
@@ -99,7 +101,8 @@ def weight_matrix(weights) -> np.ndarray:
     mat = np.zeros(n * n)
     mat[_kernels.triu_flat(n)] = w
     mat = mat.reshape(n, n)
-    return mat + mat.T
+    mat += mat.T
+    return mat
 
 
 def degrees(weights) -> np.ndarray:
@@ -199,15 +202,32 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
             f"graphs on {n} nodes"
         )
 
-    total = 0.0
-    for t in range(w_seq.shape[0]):
-        x, w = x_windows[t], w_seq[t]
-        resid = y_windows[t] - x
-        total += float(np.einsum("ns,ns->", resid, resid))
-        total += gamma * float(w @ _kernels.pairwise_sq_dists(x))
-        # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
-        row_energy = np.einsum("ns,ns->n", x, x)
-        total -= eta * float(degrees(w) @ row_energy)
-    if w_seq.shape[0] > 1:
-        total += alpha * float(temporal_variation(w_seq).sum())
+    # One (b, m) buffer holds the distances, then each end's row energies,
+    # then the window-to-window changes; the residual goes through one
+    # window-sized buffer.  einsum, not a BLAS dot: a zero weight on an
+    # infinite distance or energy must give NaN without a floating-point
+    # warning.
+    b = w_seq.shape[0]
+    buf = np.empty_like(w_seq)
+    for t in range(b):
+        buf[t] = _kernels.pairwise_sq_dists(x_windows[t])
+    smooth = float(np.einsum("bm,bm->", w_seq, buf))
+    resid = np.empty_like(y_windows[0])
+    fit = 0.0
+    for t in range(b):
+        np.subtract(y_windows[t], x_windows[t], out=resid)
+        fit += float(np.einsum("ns,ns->", resid, resid))
+    # sum_i d_i ||x_i||^2 = sum_(i,j) w_ij (||x_i||^2 + ||x_j||^2)
+    row_energy = np.einsum("bns,bns->bn", x_windows, x_windows)
+    energy = 0.0
+    for idx in _kernels.triu_pairs(n):
+        # the indices are in range; "clip" lets take write straight into
+        # out, where the default mode buffers a copy first
+        np.take(row_energy, idx, axis=1, out=buf, mode="clip")
+        energy += float(np.einsum("bm,bm->", w_seq, buf))
+    # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
+    total = fit + gamma * smooth - eta * energy
+    if b > 1:
+        change = np.subtract(w_seq[1:], w_seq[:-1], out=buf[1:])
+        total += alpha * float(np.abs(change, out=change).sum())
     return total

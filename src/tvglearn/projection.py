@@ -4,7 +4,7 @@ The projected point is clip(w - kappa, 0, 1) for the scalar shift kappa that
 makes the sum constraint hold; kappa is found by safeguarded Newton steps on
 the piecewise-linear clipped sum, with bisection of a bracket on kappa as the
 fallback.  A guess for kappa, such as the previous iteration's, can start the
-search.
+search.  A (b, m) stack of vectors is projected row by row in one call.
 """
 
 from __future__ import annotations
@@ -23,50 +23,70 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Feasible point, the shift that produced it, and root-finding steps."""
+    """Feasible point(s), the shift(s) that produced them, and root-finding steps.
+
+    For a (b, m) stack, ``kappa`` is a (b,) array and ``iterations`` the
+    total over the rows.
+    """
 
     projected: np.ndarray
-    kappa: float
+    kappa: float | np.ndarray
     iterations: int
 
 
 def project_capped_simplex(
-    raw, k: float, tol: float = DEFAULT_TOL, start: float | None = None
+    raw, k: float, tol: float = DEFAULT_TOL, start=None
 ) -> ProjectionResult:
-    """Project a raw edge vector onto {0 <= w <= 1, sum(w) = k}.
+    """Project an edge vector, or each row of a stack, onto the capped simplex.
+
+    The capped simplex is {0 <= w <= 1, sum(w) = k}.
 
     Parameters
     ----------
-    raw : array_like, shape (m,)
-        Unconstrained edge weights (for example after a gradient step).
+    raw : array_like, shape (m,) or (b, m)
+        Unconstrained edge weights (for example after a gradient step), one
+        vector or one per window.
     k : float
         Required total weight, 0 < k <= m.
     tol : float
         Root-finding stop tolerance on |sum(projected) - k|.
-    start : float or None
+    start : None, float or array_like of shape (b,)
         First kappa to evaluate, for example the shift of the previous
-        projection of a nearby vector.  Ignored unless it lies strictly
-        inside the bracket [min(raw) - 1, max(raw)]; the projected point
-        does not depend on it beyond the root-finding tolerance.
+        projection of a nearby vector; a stack takes one float for every row
+        or one value per row.  A row's start is ignored unless it lies
+        strictly inside the bracket [min(row) - 1, max(row)]; the projected
+        point does not depend on it beyond the root-finding tolerance.
 
     Returns
     -------
     ProjectionResult
-        ``projected`` sums to ``k`` within ``tol`` (typically much tighter)
-        and sits exactly inside the box.
+        ``projected`` has the shape of ``raw``; each row sums to ``k``
+        within ``tol`` (typically much tighter) and sits exactly inside the
+        box.  Each row comes out exactly as its own 1-D projection would.
     """
     w = np.ascontiguousarray(raw, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("raw edge vector must be 1-D")
+    if w.ndim not in (1, 2):
+        raise ValueError("raw edge vector must be 1-D, or a 2-D stack of them")
+    if w.ndim == 2 and w.shape[0] == 0:
+        raise ValueError("cannot project an empty stack")
     if not np.isfinite(w).all():
         raise ValueError("cannot project a vector with non-finite entries")
-    m = w.shape[0]
+    m = w.shape[-1]
     if not 0.0 < k <= m:
         raise InfeasibleBudgetError(
             f"edge budget k={k} outside the feasible range (0, {m}]"
         )
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.ndim == 0:
+            start = float(start)
+        elif w.ndim != 2 or start.shape != w.shape[:1]:
+            raise ValueError(
+                f"start of shape {start.shape} does not give one kappa per row "
+                f"of raw {w.shape}"
+            )
 
     projected, kappa, iters = _kernels.capped_simplex_project(
         w, float(k), float(tol), start

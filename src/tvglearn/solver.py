@@ -1,9 +1,10 @@
 """Alternating solver for the dynamic and static graph learning problems.
 
 Each iteration runs, in order and for every window: a closed-form update of
-the denoised signals X_t, a projected gradient step on the edge weights W_t,
-a proximal update of the splitting variables Z_t that stand in for
-W_t - W_{t+1}, and a dual step on the multipliers beta_t.  The static fit
+the denoised signals X_t, a projected gradient step on the edge weights W_t
+(the steps of all windows are projected in one call), a proximal update of
+the splitting variables Z_t that stand in for W_t - W_{t+1}, and a dual
+step on the multipliers beta_t.  The static fit
 runs the same loop on a single window, where the Z and beta steps drop out.
 """
 
@@ -176,9 +177,16 @@ class FitReport:
     final_residual: float
     per_window_change: tuple
 
+    @property
+    def stop_reason(self) -> str:
+        """Why the loop ended: ``"tolerance"`` (both stopping criteria met)
+        or ``"max_iter"`` (the iteration cap); a diverging fit raises."""
+        return "tolerance" if self.converged else "max_iter"
+
     def to_dict(self) -> dict:
         return {
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "final_objective": self.final_objective,
             "final_residual": self.final_residual,
@@ -190,8 +198,9 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     """Exact minimizer of the objective in one window's denoised signals.
 
     Solves (I + gamma*L(W) - eta*D(W)) X = Y with the Cholesky factor
-    A = C C^T as X = C^-T (C^-1 Y); the system matrix must be positive
-    definite.  Raises ValueError on non-finite weights or signals.
+    A = C C^T as X = (C^-T C^-1) Y: the small (n, n) inverse is formed first,
+    so the (n, s) signals go through one product.  The system matrix must be
+    positive definite.  Raises ValueError on non-finite weights or signals.
     """
     y_block = np.asarray(y_block, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -211,7 +220,7 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
             window=window,
         )
     inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
-    return inv_factor.T @ (inv_factor @ y_block)
+    return (inv_factor.T @ inv_factor) @ y_block
 
 
 def grad_w(t: int, state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -256,14 +265,14 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     interim = SolverState(
         x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
     )
-    w_new = np.empty_like(state.w)
-    kappa = np.empty(b)
+    raw = np.empty_like(state.w)
     for t in range(b):
-        raw = state.w[t] - cfg.tau1 * grad_w(t, interim, cfg)
-        start = None if state.kappa is None else state.kappa[t]
-        proj = project_capped_simplex(raw, cfg.k_budget, start=start)
-        w_new[t] = proj.projected
-        kappa[t] = proj.kappa
+        raw[t] = grad_w(t, interim, cfg)
+    raw *= cfg.tau1
+    np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
+    proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
+    w_new, kappa = proj.projected, proj.kappa
+    del raw, proj  # spent; freeing them lowers the step's peak memory
 
     if b > 1:
         diff = w_new[:-1] - w_new[1:]

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (loops, dense
 matrices, exhaustive enumeration) and never calls into the code paths it is
-meant to verify.
+meant to verify.  The one exception is :func:`step_per_window`, which runs the
+solver's own per-window layers in the per-window order the batched ``step``
+replaced, so the two can be compared iteration by iteration.
 """
 
 import itertools
@@ -115,6 +117,86 @@ def pairwise_sq_dists_loops(x):
             diff = x[i] - x[j]
             out.append(float(diff @ diff))
     return np.array(out)
+
+
+def objective_per_window(y_windows, x_windows, w_seq, gamma, eta, alpha):
+    """The model objective, one window at a time, from loop distances and
+    dense degrees."""
+    total = 0.0
+    b = w_seq.shape[0]
+    for t in range(b):
+        x = x_windows[t]
+        resid = y_windows[t] - x
+        total += float((resid * resid).sum())
+        total += gamma * float(w_seq[t] @ pairwise_sq_dists_loops(x))
+        deg = dense_weight_matrix(w_seq[t]).sum(axis=1)
+        total -= eta * float(deg @ (x * x).sum(axis=1))
+    for t in range(b - 1):
+        total += alpha * float(np.abs(w_seq[t] - w_seq[t + 1]).sum())
+    return total
+
+
+def step_per_window(state, y_windows, cfg):
+    """One solver iteration with a gradient step and a projection per window.
+
+    A verbatim copy of the solver's ``step`` from before it projected the
+    whole (b, m) stack in one call; it calls the library's per-window
+    layers.
+    """
+    from tvglearn.errors import DivergenceError
+    from tvglearn.graphs import objective
+    from tvglearn.projection import project_capped_simplex
+    from tvglearn.proximal import prox_l1_linear
+    from tvglearn.solver import SolverState, _residual, grad_w, update_x
+
+    b = state.n_windows
+    x_new = np.empty_like(state.x)
+    for t in range(b):
+        x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
+
+    interim = SolverState(
+        x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
+    )
+    w_new = np.empty_like(state.w)
+    kappa = np.empty(b)
+    for t in range(b):
+        raw = state.w[t] - cfg.tau1 * grad_w(t, interim, cfg)
+        start = None if state.kappa is None else state.kappa[t]
+        proj = project_capped_simplex(raw, cfg.k_budget, start=start)
+        w_new[t] = proj.projected
+        kappa[t] = proj.kappa
+
+    if b > 1:
+        diff = w_new[:-1] - w_new[1:]
+        anchor = diff if cfg.z_update_mode == "anchored" else state.z
+        z_new = prox_l1_linear(anchor, cfg.alpha, state.beta, cfg.lam)
+        gap = z_new - diff
+        sign = 1.0 if cfg.dual_sign == "ascent" else -1.0
+        beta_new = state.beta + sign * cfg.tau2 * gap
+    else:
+        z_new = state.z.copy()
+        beta_new = state.beta.copy()
+
+    obj = objective(
+        y_windows, x_new, w_new, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
+    )
+    if not np.isfinite(obj):
+        raise DivergenceError(
+            f"objective became non-finite at iteration "
+            f"{state.iteration + 1}; reduce tau1"
+        )
+
+    new_state = SolverState(
+        x=x_new,
+        w=w_new,
+        z=z_new,
+        beta=beta_new,
+        iteration=state.iteration + 1,
+        obj_history=state.obj_history + [obj],
+        kappa=kappa,
+    )
+    new_state.residual = _residual(new_state)
+    return new_state
 
 
 def golden_min(fn, lo, hi, iters=200):

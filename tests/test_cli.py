@@ -99,7 +99,30 @@ class TestEmit:
         assert blob[-9:] == b"\xff" * 9
 
 
+MALFORMED_CSVS = {
+    "empty": "",
+    "header-only": "n1,n2,n3\n",
+    "blank-lines": "\n  \n\n",
+    "ragged": "1,2,3\n4,5\n6,7,8\n",
+    "semicolons": "1;2;3\n4;5;6\n7;8;9\n",
+    "nan": "1,2,3\n4,nan,6\n",
+    "overflow": "1,2,3\n4,1e999,6\n",
+}
+
+
 class TestRun:
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CSVS))
+    def test_malformed_csv_is_data_error_naming_the_file(self, tmp_path, capsys, mode, kind):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(MALFORMED_CSVS[kind])
+        args = ["--mode", mode, "--input", str(path), "--out", str(tmp_path / "o"),
+                "--k", "1"]
+        if mode == "dynamic":
+            args += ["--window-len", "2"]
+        assert run(args) == 2
+        assert str(path) in capsys.readouterr().err
+
     def _write_signals(self, tmp_path, data=None):
         path = tmp_path / "y.csv"
         if data is None:
@@ -204,6 +227,24 @@ class TestRun:
         assert report["mode"] == "dynamic"
         assert report["n_windows"] == 3
         assert len(report["per_window_change"]) == 2
+
+    def test_stop_reason_in_report_and_max_iter_warning(self, tmp_path, capsys):
+        path = self._write_signals(tmp_path)
+        capped = tmp_path / "capped"
+        assert run(["--mode", "dynamic", "--input", str(path), "--out", str(capped),
+                    "--k", "2", "--window-len", "8", "--gamma", "0.05",
+                    "--max-iter", "3"]) == 0
+        report = json.loads((capped / "report.json").read_text())
+        assert report["stop_reason"] == "max_iter" and report["converged"] is False
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "max_iter=3" in err
+
+        converged = tmp_path / "converged"
+        assert run(["--mode", "static", "--input", str(path), "--out", str(converged),
+                    "--k", "2", "--gamma", "0.05"]) == 0
+        report = json.loads((converged / "report.json").read_text())
+        assert report["stop_reason"] == "tolerance" and report["converged"] is True
+        assert "warning:" not in capsys.readouterr().err
 
     def test_synth_minimal_invocation(self, tmp_path):
         # only --mode, --seed and --out: every scenario field has a default

@@ -127,6 +127,21 @@ class TestObjective:
         value = graphs.objective(y, y, w, gamma=1.0, eta=0.0, alpha=2.0)
         assert value == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("b", [1, 8])
+    @pytest.mark.parametrize("eta_scale", [0.0, 0.9])
+    def test_matches_per_window_oracle(self, b, eta_scale):
+        rng = np.random.default_rng(10 * b + int(10 * eta_scale))
+        n, s = 12, 40
+        m = graphs.n_edges(n)
+        y = rng.normal(size=(b, n, s))
+        x = y + rng.normal(scale=0.3, size=(b, n, s))
+        w = rng.uniform(0.0, 1.0, size=(b, m))
+        w[:, ::7] = 0.0
+        kwargs = dict(gamma=0.7, eta=eta_scale / (n - 1), alpha=0.4)
+        value = graphs.objective(y, x, w, **kwargs)
+        expected = oracles.objective_per_window(y, x, w, **kwargs)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_affine_in_single_weight(self):
         # second difference of an affine function vanishes (away from the
         # l1 kinks, so only well-separated coordinates are probed)

@@ -25,6 +25,81 @@ def _hard_input(n, kind):
     return raw, float(n - 1)
 
 
+def _stack_cases():
+    """Rows of every kind the 1-D tests use, grouped into (b, m) stacks, each
+    with one start per row."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (20, 100):
+        rows = [_hard_input(n, kind)[0] for kind in HARD_KINDS]
+        m = n * (n - 1) // 2
+        k = float(n - 1)
+        # a flat stretch: an integer budget met by rows pinned at 0 and 1
+        rows.append(np.concatenate([np.full(n - 1, 5.0), np.full(m - n + 1, -3.0)]))
+        rows += [rng.normal(0.0, 2.0, size=m) for _ in range(3)]
+        stack = np.stack(rows)
+        cold = [project_capped_simplex(row, k).kappa for row in stack]
+        lo, hi = stack.min(axis=1) - 1.0, stack.max(axis=1)
+        for pick in range(4):
+            starts = np.array([
+                [np.nan, lo[r] - 5.0, hi[r] + 1.0, cold[r]][(r + pick) % 4]
+                for r in range(len(stack))
+            ])
+            cases.append((stack, k, starts))
+        cases.append((stack, k, None))
+        cases.append((stack[::-1], k, float(np.median(cold))))
+    for _ in range(20):
+        b = int(rng.integers(1, 9))
+        m = int(rng.integers(2, 40))
+        stack = rng.normal(0.0, rng.choice([0.1, 2.0, 50.0]), size=(b, m))
+        starts = rng.normal(0.0, 1.0, size=b)
+        starts[rng.random(b) < 0.3] = np.nan
+        cases.append((stack, float(rng.uniform(0.05, m)), starts))
+    return cases
+
+
+class TestStack:
+    def test_rows_match_the_one_dimensional_projection(self):
+        for stack, k, starts in _stack_cases():
+            res = project_capped_simplex(stack, k, start=starts)
+            assert res.projected.shape == stack.shape
+            assert res.kappa.shape == (stack.shape[0],)
+            assert type(res.iterations) is int
+            total = 0
+            for r, row in enumerate(stack):
+                start = starts if starts is None or np.ndim(starts) == 0 else starts[r]
+                single = project_capped_simplex(row, k, start=start)
+                np.testing.assert_allclose(
+                    res.projected[r], single.projected, rtol=0, atol=1e-12
+                )
+                assert res.kappa[r] == pytest.approx(single.kappa, rel=0, abs=1e-12)
+                total += single.iterations
+            assert res.iterations == total
+
+    def test_one_dimensional_result_types(self):
+        raw, k = _hard_input(20, "cauchy")
+        res = project_capped_simplex(raw, k, start=np.float64(0.1))
+        assert res.projected.shape == raw.shape
+        assert type(res.kappa) is float and type(res.iterations) is int
+
+    def test_errors(self):
+        stack = np.zeros((3, 4))
+        bad = stack.copy()
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            project_capped_simplex(bad, 1.0)
+        with pytest.raises(InfeasibleBudgetError):
+            project_capped_simplex(stack, 5.0)
+        with pytest.raises(ValueError, match="tol"):
+            project_capped_simplex(stack, 1.0, tol=0.0)
+        with pytest.raises(ValueError, match="start"):
+            project_capped_simplex(stack, 1.0, start=np.zeros(2))
+        with pytest.raises(ValueError, match="start"):
+            project_capped_simplex(stack[0], 1.0, start=np.zeros(1))
+        with pytest.raises(ValueError):
+            project_capped_simplex(np.zeros((2, 2, 2)), 1.0)
+
+
 class TestBasics:
     def test_feasible_point_unchanged(self):
         raw = np.array([0.5, 0.5])

@@ -6,10 +6,12 @@ import pytest
 from tvglearn import (
     DivergenceError,
     InfeasibleBudgetError,
+    ScenarioSpec,
     SingularSystemError,
     SolverConfig,
     fit_dynamic,
     fit_static,
+    generate,
 )
 from tvglearn.graphs import n_edges, window_signals
 from tvglearn.projection import is_feasible
@@ -232,6 +234,37 @@ class TestStep:
                     getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("case", ["reference", "one window", "paper-literal"])
+    def test_matches_per_window_step(self, case):
+        # the batched step against the per-window loop it replaced
+        if case == "reference":  # acceptance test_07's scenario and settings
+            spec = ScenarioSpec(
+                n_nodes=20, k_true=19, n_segments=2, windows_per_segment=4,
+                window_len=200, noise_sigma=0.1, seed=25,
+            )
+            cfg = SolverConfig(k_budget=19.0, window_len=200, gamma=0.01, alpha=0.1)
+            y = window_signals(generate(spec).signals, cfg.window_len)
+        else:
+            rng = np.random.default_rng(12)
+            y = rng.normal(size=(1 if case == "one window" else 4, 8, 30))
+            modes = (
+                dict(z_update_mode="paper-literal", dual_sign="paper-literal")
+                if case == "paper-literal" else {}
+            )
+            cfg = SolverConfig(
+                k_budget=6.0, window_len=30, gamma=0.2, eta=0.05, alpha=0.3,
+                tau1=0.02, tau2=0.05, **modes,
+            )
+        batched = per_window = _initial_state(y, cfg)
+        for _ in range(100):
+            batched = step(batched, y, cfg)
+            per_window = oracles.step_per_window(per_window, y, cfg)
+            for name in ("w", "x", "z", "beta", "obj_history"):
+                np.testing.assert_allclose(
+                    getattr(batched, name), getattr(per_window, name),
+                    rtol=0, atol=1e-12, err_msg=name,
+                )
+
     def test_golden_trace_two_windows(self):
         # frozen from a straight-line reference implementation of the same
         # update order (dense solves, loop gradients, breakpoint projection)
@@ -348,6 +381,19 @@ class TestFits:
             assert np.array_equal(w_dyn[0], w_sta)
             assert np.array_equal(x_dyn[0], x_sta)
             assert rep_dyn == rep_sta
+
+    def test_stop_reason(self):
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(4, 24))
+        capped = SolverConfig(k_budget=2.0, window_len=8, gamma=0.05, max_iter=3)
+        _, _, report = fit_dynamic(y, capped)
+        assert (report.converged, report.iterations) == (False, 3)
+        assert report.stop_reason == "max_iter"
+        assert report.to_dict()["stop_reason"] == "max_iter"
+        _, _, report = fit_static(y, SolverConfig(k_budget=2.0, gamma=0.05))
+        assert report.converged and report.iterations < 5000
+        assert report.stop_reason == "tolerance"
+        assert report.to_dict()["stop_reason"] == "tolerance"
 
     def test_window_len_required_for_dynamic(self):
         with pytest.raises(ValueError):
