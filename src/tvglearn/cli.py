@@ -21,7 +21,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,43 +39,59 @@ from .errors import (
     UsageError,
 )
 from .graphs import edge_pairs, n_nodes_for_edges
-from .solver import SolverConfig, fit_dynamic, fit_static
+from .solver import DUAL_SIGNS, Z_UPDATE_MODES, SolverConfig, fit_dynamic, fit_static
 from .synthetic import ScenarioSpec, generate
 
 __all__ = ["RunConfig", "ingest_csv", "emit_results", "run", "main"]
 
 MODES = ("static", "dynamic", "synth", "analyze", "consensus")
 
-# name -> (type, default); booleans resolve None -> False
-_OPTIONS = {
-    "mode": (str, None),
-    "input": (str, None),
-    "out": (str, None),
-    "window_len": (int, None),
-    "k": (float, None),
-    "gamma": (float, 1.0),
-    "eta": (float, 0.0),
-    "alpha": (float, 0.1),
-    "lambda": (float, 1.0),
-    "tau1": (float, 1e-2),
-    "tau2": (float, 1e-2),
-    "max_iter": (int, 5000),
-    "tol_obj": (float, 1e-6),
-    "tol_res": (float, 1e-4),
-    "z_mode": (str, "anchored"),
-    "dual_sign": (str, "ascent"),
-    "seed": (int, 0),
-    "heatmap": (bool, False),
-    "n_nodes": (int, 20),
-    "k_true": (int, 19),
-    "n_segments": (int, 2),
-    "windows_per_segment": (int, 4),
-    "noise_sigma": (float, 0.1),
-    "smooth_gamma": (float, 5.0),
-    "zero_node_fraction": (float, 0.0),
-    "prob_threshold": (float, 0.5),
-    "count_threshold": (int, 5),
+# The flags and config-file keys are the SolverConfig and ScenarioSpec field
+# names ("--window-len" sets window_len) except these: field -> option name.
+_RENAMED = {"k_budget": "k", "lam": "lambda", "tol_residual": "tol_res",
+            "z_update_mode": "z_mode"}
+
+# Options that no dataclass field declares: name -> (type, help).
+_CLI_ONLY = {
+    "mode": (str, "what to run"),
+    "input": (str, "signal CSV (fits) or directory (analyze/consensus)"),
+    "out": (str, "output directory, created if missing"),
+    "heatmap": (bool, "analyze: also write graph_corr.pgm"),
+    "prob_threshold": (float, "consensus: a trial has an edge where w >= this"),
+    "count_threshold": (int, "consensus: keep edges in more trials than this"),
 }
+
+# Values of unset options that no dataclass default supplies.
+_CLI_DEFAULTS = {"heatmap": False, "prob_threshold": 0.5, "count_threshold": 5,
+                 "n_nodes": 20, "k_true": 19}
+
+_CHOICES = {"mode": MODES, "z_mode": Z_UPDATE_MODES, "dual_sign": DUAL_SIGNS}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _field_options() -> dict:
+    """name -> (type, help) for the fields of SolverConfig and ScenarioSpec."""
+    options = {}
+    for cls in (SolverConfig, ScenarioSpec):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            # int | None -> int
+            typ = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+            target = f"{cls.__name__}.{f.name}"
+            if f.default is not MISSING:
+                target += f"={f.default!r}"
+            name = _RENAMED.get(f.name, f.name)
+            if name in options:  # window_len sets both
+                target = f"{options[name][1]}, {target}"
+            options[name] = (typ, target)
+    return options
+
+
+# name -> (type, help); the names are the config-file keys and, with "-" for
+# "_", the flags
+_OPTIONS = _CLI_ONLY | _field_options()
 
 
 @dataclass(frozen=True)
@@ -98,35 +115,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="tvglearn", description=__doc__.splitlines()[0])
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--input", help="signal CSV (fits) or directory (analyze/consensus)")
-    p.add_argument("--out", help="output directory, created if missing")
+    # unset flags stay out of the namespace, so the config file and the
+    # dataclass defaults can fill them
+    p = _Parser(prog="tvglearn", description=__doc__.splitlines()[0],
+                argument_default=argparse.SUPPRESS)
     p.add_argument("--config", help="flat key=value file; flags override it")
-    p.add_argument("--window-len", type=int, dest="window_len")
-    p.add_argument("--k", type=float, help="edge weight budget K")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", type=float, dest="lambda_")
-    p.add_argument("--tau1", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--tol-obj", type=float, dest="tol_obj")
-    p.add_argument("--tol-res", type=float, dest="tol_res")
-    p.add_argument("--z-mode", choices=("anchored", "paper-literal"), dest="z_mode")
-    p.add_argument("--dual-sign", choices=("ascent", "paper-literal"), dest="dual_sign")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--heatmap", action="store_true", default=None)
-    p.add_argument("--n-nodes", type=int, dest="n_nodes")
-    p.add_argument("--k-true", type=int, dest="k_true")
-    p.add_argument("--n-segments", type=int, dest="n_segments")
-    p.add_argument("--windows-per-segment", type=int, dest="windows_per_segment")
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--smooth-gamma", type=float, dest="smooth_gamma")
-    p.add_argument("--zero-node-fraction", type=float, dest="zero_node_fraction")
-    p.add_argument("--prob-threshold", type=float, dest="prob_threshold")
-    p.add_argument("--count-threshold", type=int, dest="count_threshold")
+    for name, (typ, help_) in _OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if name in _CLI_DEFAULTS:
+            help_ += f" (default {_CLI_DEFAULTS[name]})"
+        if typ is bool:
+            p.add_argument(flag, action="store_true", help=help_)
+        else:
+            p.add_argument(flag, type=typ, choices=_CHOICES.get(name), help=help_)
     return p
 
 
@@ -149,34 +150,26 @@ def _parse_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
         typ, _ = _OPTIONS[key]
         try:
-            if typ is bool:
-                values[key] = value.lower() in ("1", "true", "yes")
-            else:
-                values[key] = typ(value)
-        except ValueError as exc:
+            values[key] = _BOOLS[value.lower()] if typ is bool else typ(value)
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise UsageError(
+                f"{path}:{lineno}: {key} must be one of {', '.join(_CHOICES[key])}"
+            )
     return values
 
 
 def _resolve(argv) -> dict:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    file_values = _parse_config_file(args.config) if args.config else {}
-    resolved = {}
-    for name, (typ, default) in _OPTIONS.items():
-        attr = "lambda_" if name == "lambda" else name
-        cli_value = getattr(args, attr)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in file_values:
-            resolved[name] = file_values[name]
-        else:
-            resolved[name] = default
-    return resolved
+    """Set options, flags over the config file; unset ones are left out."""
+    flags = vars(_build_parser().parse_args(argv))
+    config = flags.pop("config", None)
+    file_values = _parse_config_file(config) if config else {}
+    return {**_CLI_DEFAULTS, **file_values, **flags}
 
 
 def _require(resolved: dict, *names: str) -> None:
-    missing = [n for n in names if resolved[n] is None]
+    missing = [n for n in names if n not in resolved]
     if missing:
         raise UsageError(
             f"mode {resolved['mode']!r} requires: "
@@ -184,8 +177,17 @@ def _require(resolved: dict, *names: str) -> None:
         )
 
 
+def _kwargs(cls, resolved: dict) -> dict:
+    """The set options that are fields of ``cls``, keyed by field name."""
+    return {
+        f.name: resolved[_RENAMED.get(f.name, f.name)]
+        for f in fields(cls)
+        if _RENAMED.get(f.name, f.name) in resolved
+    }
+
+
 def _run_config(resolved: dict) -> RunConfig:
-    mode = resolved["mode"]
+    mode = resolved.get("mode")
     if mode is None:
         raise UsageError("--mode is required")
     _require(resolved, "out")
@@ -196,43 +198,19 @@ def _run_config(resolved: dict) -> RunConfig:
         _require(resolved, "input", "k")
         if mode == "dynamic":
             _require(resolved, "window_len")
-        solver = SolverConfig(
-            k_budget=resolved["k"],
-            gamma=resolved["gamma"],
-            eta=resolved["eta"],
-            alpha=resolved["alpha"],
-            lam=resolved["lambda"],
-            tau1=resolved["tau1"],
-            tau2=resolved["tau2"],
-            max_iter=resolved["max_iter"],
-            tol_obj=resolved["tol_obj"],
-            tol_residual=resolved["tol_res"],
-            z_update_mode=resolved["z_mode"],
-            dual_sign=resolved["dual_sign"],
-            window_len=resolved["window_len"],
-        )
+        solver = SolverConfig(**_kwargs(SolverConfig, resolved))
     elif mode == "synth":
-        scenario = ScenarioSpec(
-            n_nodes=resolved["n_nodes"],
-            k_true=resolved["k_true"],
-            n_segments=resolved["n_segments"],
-            windows_per_segment=resolved["windows_per_segment"],
-            window_len=resolved["window_len"] or 100,
-            noise_sigma=resolved["noise_sigma"],
-            smooth_gamma=resolved["smooth_gamma"],
-            zero_node_fraction=resolved["zero_node_fraction"],
-            seed=resolved["seed"],
-        )
+        scenario = ScenarioSpec(**_kwargs(ScenarioSpec, resolved))
     else:
         _require(resolved, "input")
 
     return RunConfig(
         mode=mode,
-        input_path=resolved["input"],
+        input_path=resolved.get("input"),
         output_dir=resolved["out"],
         solver=solver,
-        seed=resolved["seed"],
-        heatmap=bool(resolved["heatmap"]),
+        seed=resolved.get("seed", ScenarioSpec.seed),  # fits echo it in report.json
+        heatmap=resolved["heatmap"],
         scenario=scenario,
         prob_threshold=resolved["prob_threshold"],
         count_threshold=resolved["count_threshold"],
@@ -308,9 +286,12 @@ def _read_graph_csv(path: Path) -> np.ndarray:
         if len(row) != 3:
             raise CsvParseError(f"{path}: row {file_row} is not i,j,w")
         try:
-            entries.append((int(row[0]), int(row[1]), float(row[2])))
+            i, j, w = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise CsvParseError(f"{path}: row {file_row}: {exc}") from exc
+        if not math.isfinite(w):
+            raise CsvParseError(f"{path}: row {file_row}: non-finite weight {row[2]!r}")
+        entries.append((file_row, i, j, w))
     try:
         n = n_nodes_for_edges(len(entries))
     except ValueError as exc:
@@ -318,11 +299,16 @@ def _read_graph_csv(path: Path) -> np.ndarray:
     i_idx, j_idx = edge_pairs(n)
     index_of = {(int(i) + 1, int(j) + 1): e for e, (i, j) in enumerate(zip(i_idx, j_idx))}
     weights = np.zeros(len(entries))
-    for i, j, w in entries:
-        try:
-            weights[index_of[(i, j)]] = w
-        except KeyError:
+    row_of = {}
+    for file_row, i, j, w in entries:
+        if (i, j) not in index_of:
             raise CsvParseError(f"{path}: edge ({i},{j}) is not upper-triangular")
+        if (i, j) in row_of:
+            raise CsvParseError(
+                f"{path}: row {file_row} repeats edge ({i},{j}) of row {row_of[i, j]}"
+            )
+        row_of[i, j] = file_row
+        weights[index_of[i, j]] = w
     return weights
 
 

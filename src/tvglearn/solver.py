@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -132,20 +132,10 @@ class SolverConfig:
             )
 
     def to_dict(self) -> dict:
+        """Field values by name, with ``lam`` under its CLI name ``"lambda"``."""
         return {
-            "k_budget": self.k_budget,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "max_iter": self.max_iter,
-            "tol_obj": self.tol_obj,
-            "tol_residual": self.tol_residual,
-            "z_update_mode": self.z_update_mode,
-            "dual_sign": self.dual_sign,
-            "window_len": self.window_len,
+            ("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
+            for f in fields(self)
         }
 
 

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvglearn.cli import (
+    _OPTIONS,
+    _build_parser,
     _read_graph_csv,
     _write_pgm,
     emit_results,
@@ -193,6 +197,23 @@ class TestRun:
                     "--out", str(tmp_path / "o")]) == 2
         assert str(fit_dir / "graph_2.csv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["analyze", "consensus"])
+    @pytest.mark.parametrize("bad_row", ["1,3,nan", "1,3,inf", "1,2,0.25"])
+    def test_non_finite_or_repeated_graph_row_is_data_error(
+        self, tmp_path, capsys, mode, bad_row
+    ):
+        good = tmp_path / "in" / "good"
+        self._write_graph(good, 1, 3)
+        self._write_graph(good, 2, 3)
+        bad = tmp_path / "in" / "bad"
+        bad.mkdir()
+        for t in (1, 2):
+            (bad / f"graph_{t}.csv").write_text(f"i,j,w\n1,2,0.5\n{bad_row}\n2,3,0.5\n")
+        directory = tmp_path / "in" if mode == "consensus" else bad
+        assert run(["--mode", mode, "--input", str(directory),
+                    "--out", str(tmp_path / "o"), "--heatmap"]) == 2
+        assert f"{bad / 'graph_1.csv'}: row 3" in capsys.readouterr().err
+
     def test_mismatched_edge_counts_in_consensus_is_data_error(self, tmp_path, capsys):
         trials = tmp_path / "trials"
         self._write_graph(trials / "t0", 1, 3)
@@ -252,6 +273,25 @@ class TestRun:
                     "--out", str(tmp_path / "d")]) == 0
         signals = ingest_csv(tmp_path / "d" / "signals.csv")
         assert signals.shape == (20, 800)  # 20 nodes, 2x4 windows of 100
+
+    @pytest.mark.parametrize("window_len", ["0", "-5"])
+    def test_synth_nonpositive_window_len_is_usage_error(self, tmp_path, capsys, window_len):
+        assert run(["--mode", "synth", "--window-len", window_len,
+                    "--out", str(tmp_path / "d")]) == 1
+        assert "window_len must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("mode, window_len", [("static", None), ("dynamic", 8)])
+    def test_unset_options_take_the_library_defaults(self, tmp_path, mode, window_len):
+        path = self._write_signals(tmp_path)
+        args = ["--mode", mode, "--input", str(path), "--out", str(tmp_path / "o"),
+                "--k", "2"]
+        if window_len is not None:
+            args += ["--window-len", str(window_len)]
+        assert run(args) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["config"] == \
+            SolverConfig(k_budget=2.0, window_len=window_len).to_dict()
 
     def test_synth_deterministic_bytes(self, tmp_path):
         args = ["--mode", "synth", "--seed", "7", "--n-nodes", "8",
@@ -323,6 +363,18 @@ class TestRun:
         assert report["config"]["max_iter"] == 30
         assert report["config"]["lambda"] == 0.5
 
+    @pytest.mark.parametrize("line", ["heatmap=ture", "mode=bogus"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
+        fit_dir = tmp_path / "fit"
+        for t in (1, 2):
+            self._write_graph(fit_dir, t, 3)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        assert run(["--mode", "analyze", "--input", str(fit_dir),
+                    "--out", str(tmp_path / "o"), "--config", str(cfg_file)]) == 1
+        assert f"{cfg_file}:1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus=1\n")
@@ -344,3 +396,30 @@ class TestRun:
         assert truth["boundaries"] == []
         # noise_sigma=0 makes the noisy and clean records identical
         assert (out / "signals.csv").read_bytes() == (out / "clean.csv").read_bytes()
+
+
+CONFIG_KEYS = {
+    "mode", "input", "out", "window_len", "k", "gamma", "eta", "alpha", "lambda",
+    "tau1", "tau2", "max_iter", "tol_obj", "tol_res", "z_mode", "dual_sign", "seed",
+    "heatmap", "n_nodes", "k_true", "n_segments", "windows_per_segment",
+    "noise_sigma", "smooth_gamma", "zero_node_fraction", "prob_threshold",
+    "count_threshold",
+}
+
+
+def _flags():
+    return {
+        s for action in _build_parser()._actions for s in action.option_strings
+    } - {"-h", "--help"}
+
+
+def test_flags_and_config_keys_are_pinned():
+    assert set(_OPTIONS) == CONFIG_KEYS
+    assert _flags() == {"--config"} | {"--" + k.replace("_", "-") for k in CONFIG_KEYS}
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("## CLI", 1)[1]
+    paragraph = cli_section[cli_section.index("Flags:"):].split("\n\n", 1)[0]
+    assert _flags() <= set(re.findall(r"--[a-z0-9-]+", paragraph))
