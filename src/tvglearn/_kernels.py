@@ -11,7 +11,7 @@ __all__ = ["pairwise_sq_dists", "capped_simplex_project"]
 USING_NUMBA = _HAVE_NUMBA = False
 
 _MAX_STEPS = 200  # cap on root-finding steps per projection
-_WIDTH_EPS = 1e-14  # stop once the kappa bracket collapses to this width
+_WIDTH_EPS = 1e-14  # stop once the kappa bracket shrinks to this relative width
 
 
 @lru_cache(maxsize=128)
@@ -73,100 +73,88 @@ def capped_simplex_project(w, k, tol, start=None):
     row) when it lies strictly inside the initial bracket
     [min(w) - 1, max(w)], and the bracket midpoint otherwise.
 
-    The array work of a step runs once on the stack of rows still searching;
-    each row's bracket bookkeeping runs on Python floats, so every row comes
-    out as it would alone.  Returns the projected point(s), kappa (a float,
-    or a (b,) array for a stack) and the total number of root-finding steps
-    over all rows (at least 1 per row).
+    Every step evaluates the shift and the clip on the whole stack; a row
+    that has stopped keeps its kappa, so its values recompute to the same
+    bits.  Each row's bracket bookkeeping runs on Python floats, so every
+    row comes out as it would alone.  When the coordinates at the cap, or
+    those above 0, alone meet the budget, the root is a whole flat stretch
+    and kappa is its midpoint.  A row stopped by the step cap may miss k.
+    Returns the projected point(s), kappa (a float, or a (b,) array for a
+    stack) and the total number of root-finding steps over all rows (at
+    least 1 per row).
     """
     stack = w if w.ndim == 2 else w.reshape(1, -1)
     b = stack.shape[0]
     lo = [low - 1.0 for low in np.minimum.reduce(stack, 1).tolist()]
     hi = np.maximum.reduce(stack, 1).tolist()
-    if start is None:
-        starts = [None] * b
-    elif isinstance(start, float):
-        starts = [start] * b
-    else:
-        starts = np.asarray(start, dtype=np.float64).tolist()
+    # np.full broadcasts a float or a (b,) start; NaN fails the bracket test
+    starts = np.full(b, np.nan if start is None else start).tolist()
     kappa = [
-        s if s is not None and lo_r < s < hi_r else 0.5 * (lo_r + hi_r)
+        s if lo_r < s < hi_r else 0.5 * (lo_r + hi_r)
         for s, lo_r, hi_r in zip(starts, lo, hi)
     ]
 
-    rows = list(range(b))  # rows still searching, in the order of ``sub``
-    sub = stack
-    shift = np.array(kappa)[:, np.newaxis]  # (rows, 1), kept in step with kappa
-    # every step writes into the leading rows of two stack-sized buffers
-    v_buf, out_buf = np.empty_like(stack), np.empty_like(stack)
+    rows = list(range(b))  # rows still searching
+    shift = np.array(kappa)[:, np.newaxis]  # (b, 1), kept in step with kappa
+    v, out = np.empty_like(stack), np.empty_like(stack)
     steps = total = 0
-    while rows:
-        v = np.subtract(sub, shift, out=v_buf[: len(rows)])
-        out = _clip01(v, out=out_buf[: len(rows)])
+    while True:
+        np.subtract(stack, shift, out=v)
+        _clip01(v, out=out)
         if steps == _MAX_STEPS:  # the step cap ends the search after a move
-            stop, go = rows, []
-        else:
-            steps += 1
-            total += len(rows)
-            g = np.add.reduce(out, 1).tolist()
-            stop, go = [], []
-            for a, r in enumerate(rows):
-                g[a] -= k
-                if abs(g[a]) <= tol or (hi[r] - lo[r]) <= _WIDTH_EPS:
-                    stop.append(a)
+            break
+        steps += 1
+        total += len(rows)
+        g = np.add.reduce(out, 1).tolist()
+        searching, rows = rows, []
+        for r in searching:
+            g[r] -= k
+            # the width stop is relative to max(1, |lo|, |hi|), as lo < hi
+            if abs(g[r]) <= tol or (
+                hi[r] - lo[r] <= _WIDTH_EPS * max(1.0, -lo[r], hi[r])
+            ):
+                continue
+            rows.append(r)
+            if g[r] > 0.0:
+                lo[r] = kappa[r]
+            else:
+                hi[r] = kappa[r]
+        if not rows:
+            break
+        # g falls with slope -n_interior between breakpoints
+        n_interior = np.add.reduce((v > 0.0) & (v < 1.0), 1).tolist()
+        for r in rows:
+            if n_interior[r]:
+                newton = kappa[r] + g[r] / n_interior[r]
+                if lo[r] < newton < hi[r]:
+                    kappa[r] = shift[r, 0] = newton
                     continue
-                go.append(a)
-                if g[a] > 0.0:
-                    lo[r] = kappa[r]
-                else:
-                    hi[r] = kappa[r]
-        if go:
-            v_go = v if not stop else v[go]
-            # g falls with slope -n_interior between breakpoints
-            n_interior = np.add.reduce((v_go > 0.0) & (v_go < 1.0), 1).tolist()
-            for c, a in enumerate(go):
-                r = rows[a]
-                if n_interior[c]:
-                    newton = kappa[r] + g[a] / n_interior[c]
-                    if lo[r] < newton < hi[r]:
-                        kappa[r] = shift[a, 0] = newton
-                        continue
-                elif g[a] > 0.0:
-                    # g is flat, and keeps its sign, up to the nearest
-                    # breakpoint toward the root; move that bracket end there
-                    lo[r] = float(stack[r][v_go[c] >= 1.0].min()) - 1.0
-                else:
-                    hi[r] = float(stack[r][v_go[c] <= 0.0].max())
-                kappa[r] = shift[a, 0] = 0.5 * (lo[r] + hi[r])
-            if stop:
-                rows = [rows[a] for a in go]
-                sub = stack[rows]
-                shift = shift[go]
-        else:
-            rows = []
-    if len(stop) != b:
-        # Rows stopped on different steps: evaluate each at the kappa it
-        # stopped on, which reproduces its last v and clipped v exactly.
-        v = np.subtract(stack, np.array(kappa)[:, np.newaxis], out=v_buf)
-        out = _clip01(v, out=out_buf)
+            elif g[r] > 0.0:
+                # g is flat, and keeps its sign, up to the nearest
+                # breakpoint toward the root; move that bracket end there
+                lo[r] = float(stack[r][v[r] >= 1.0].min()) - 1.0
+            else:
+                hi[r] = float(stack[r][v[r] <= 0.0].max())
+            kappa[r] = shift[r, 0] = 0.5 * (lo[r] + hi[r])
 
-    interior = (v > 0.0) & (v < 1.0)
+    capped = v >= 1.0
+    interior = (v > 0.0) ^ capped  # every capped coordinate is above 0
     n_interior = np.add.reduce(interior, 1).tolist()
+    n_capped = np.add.reduce(capped, 1).tolist()
     total_w = np.add.reduce(out, 1).tolist()
     spread = []
     for r, count in enumerate(n_interior):
-        if count == 0:
-            # No coordinate is strictly inside (0, 1): the root is a whole
-            # interval between the nearest breakpoints; take its midpoint
-            # (the projected point is the same anywhere on the flat).
+        if k in (n_capped[r], n_capped[r] + count):
+            # The coordinates at the cap, or those above 0, alone meet the
+            # budget: the root is a whole interval between the nearest
+            # breakpoints; take its midpoint (the projected point is the
+            # same anywhere on it).
             w_r, v_r = stack[r], v[r]
-            low = v_r <= 0.0
-            low_max = w_r[low].max() if low.any() else w_r.min() - 1.0
-            high = w_r[v_r >= 1.0]
-            right = high.min() - 1.0 if high.size else kappa[r]
-            kappa[r] = float(0.5 * (low_max + right))
+            high = capped[r] if n_capped[r] == k else v_r > 0.0
+            low_max = w_r[~high].max(initial=w_r.min() - 1.0)
+            kappa[r] = float(0.5 * (low_max + w_r[high].min() - 1.0))
             np.subtract(w_r, kappa[r], out=v_r)
-            out[r] = _clip01(v_r)
+            _clip01(v_r, out=out[r])
             interior[r] = (v_r > 0.0) & (v_r < 1.0)
             count = np.count_nonzero(interior[r])
             total_w[r] = out[r].sum()

@@ -91,6 +91,8 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     (weights read as connection probabilities); it enters the consensus
     graph when its trial count strictly exceeds ``count_threshold``.
     """
+    if not np.isfinite(prob_threshold):
+        raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
     graphs = np.atleast_2d(np.asarray(graph_per_trial, dtype=np.float64))
     if graphs.shape[0] < 1:
         raise ValueError("need at least one trial graph")

@@ -89,6 +89,11 @@ class TestConsensus:
         result = consensus([[0.5]], prob_threshold=0.5, count_threshold=0)
         assert result.counts[0] == 1
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prob_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="prob_threshold"):
+            consensus(np.ones((3, 4)), prob_threshold=threshold, count_threshold=0)
+
     def test_monotone_in_count_threshold(self):
         rng = np.random.default_rng(5)
         graphs = rng.uniform(size=(10, 8))

@@ -346,6 +346,18 @@ class TestRun:
         assert lines[2] == "1,3,1,0"  # edge (1,3): 1 trial
         assert lines[3] == "2,3,0,0"
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_prob_threshold_is_usage_error(self, tmp_path, capsys, threshold):
+        cfg = SolverConfig(k_budget=1.0, window_len=4)
+        report = FitReport(True, 1, 0.0, 0.0, ())
+        emit_results(np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report,
+                     tmp_path / "trials" / "t0", cfg, seed=0, mode="dynamic")
+        out = tmp_path / "consensus"
+        assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
+                    "--out", str(out), "--prob-threshold", threshold]) == 1
+        assert "prob_threshold" in capsys.readouterr().err
+        assert not (out / "consensus_1.csv").exists()
+
     def test_config_file_with_cli_override(self, tmp_path):
         path = self._write_signals(tmp_path)
         cfg_file = tmp_path / "run.cfg"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tvglearn import InfeasibleBudgetError
+from tvglearn import InfeasibleBudgetError, _kernels
 from tvglearn.projection import is_feasible, project_capped_simplex
 
 import oracles
@@ -76,6 +79,38 @@ class TestStack:
                 total += single.iterations
             assert res.iterations == total
 
+    def test_rows_stopped_by_the_step_cap(self, monkeypatch):
+        # a cold start needs more than two steps on these rows, a start at
+        # the cold kappa stops on the first, so rows leave on different steps
+        stack, k, _ = _stack_cases()[0]
+        cold = np.array([project_capped_simplex(row, k).kappa for row in stack])
+        starts = np.where(np.arange(len(stack)) % 2 == 0, cold, np.nan)
+        monkeypatch.setattr(_kernels, "_MAX_STEPS", 2)
+        res = project_capped_simplex(stack, k, start=starts)
+        steps, missed = [], []
+        for r, row in enumerate(stack):
+            single = project_capped_simplex(row, k, start=starts[r])
+            np.testing.assert_array_equal(res.projected[r], single.projected)
+            assert res.kappa[r] == single.kappa
+            steps.append(single.iterations)
+            missed.append(abs(single.projected.sum() - k))
+        assert sorted(set(steps)) == [1, 2]
+        assert res.iterations == sum(steps)
+        # a row cut off by the cap is in the box but may miss the budget
+        assert res.projected.min() >= 0.0 and res.projected.max() <= 1.0
+        assert max(missed) > 1e-3
+
+    def test_huge_scale_rows_stop_before_the_step_cap(self):
+        # one ulp of kappa outgrows an absolute bracket width once
+        # |kappa| > 64; the width stop is relative, so these rows end early
+        rng = np.random.default_rng(47)
+        stack = rng.normal(0.0, 1e8, size=(200, 190))
+        for row in stack:
+            res = project_capped_simplex(row, 7.3)
+            assert res.iterations < _kernels._MAX_STEPS
+            assert res.projected.min() >= 0.0 and res.projected.max() <= 1.0
+            assert abs(res.projected.sum() - 7.3) <= 1e-9
+
     def test_one_dimensional_result_types(self):
         raw, k = _hard_input(20, "cauchy")
         res = project_capped_simplex(raw, k, start=np.float64(0.1))
@@ -98,6 +133,59 @@ class TestStack:
             project_capped_simplex(stack[0], 1.0, start=np.zeros(1))
         with pytest.raises(ValueError):
             project_capped_simplex(np.zeros((2, 2, 2)), 1.0)
+
+
+@st.composite
+def _stack_and_budget(draw):
+    """A (b, m) stack and a budget k in (0, m]: spread or tied values at one
+    scale, or rows whose top k coordinates sit at least 1 above the rest, so
+    that an integer k is met on a flat stretch of the clipped sum."""
+    b = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 60))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8]))
+    kind = draw(st.sampled_from(["spread", "ties", "flat"]))
+    if kind == "ties":
+        elements = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+    else:
+        elements = st.floats(-1.0, 1.0)
+    stack = draw(arrays(np.float64, (b, m), elements=elements)) * scale
+    if kind == "flat":
+        top = draw(st.integers(1, m))
+        stack[:, :top] += 2.0 * scale + 1.0
+        return stack, float(top)
+    k = draw(st.one_of(
+        st.integers(1, m).map(float),
+        st.floats(0.0, m, exclude_min=True),
+    ))
+    return stack, k
+
+
+def _starts(b):
+    value = st.one_of(
+        st.just(np.nan), st.floats(-10.0, 10.0), st.floats(-1e12, 1e12)
+    )
+    return st.one_of(
+        st.none(), value, arrays(np.float64, (b,), elements=value)
+    )
+
+
+class TestStackProperties:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_each_row_is_its_own_projection(self, data):
+        stack, k = data.draw(_stack_and_budget())
+        start = data.draw(_starts(stack.shape[0]))
+        res = project_capped_simplex(stack, k, start=start)
+        assert res.projected.min() >= 0.0 and res.projected.max() <= 1.0
+        np.testing.assert_allclose(res.projected.sum(axis=1), k, rtol=0, atol=1e-9)
+        total = 0
+        for r, row in enumerate(stack):
+            row_start = start if start is None or np.ndim(start) == 0 else start[r]
+            single = project_capped_simplex(row, k, start=row_start)
+            np.testing.assert_array_equal(res.projected[r], single.projected)
+            assert res.kappa[r] == single.kappa
+            total += single.iterations
+        assert res.iterations == total
 
 
 class TestBasics:
@@ -240,6 +328,25 @@ class TestProperties:
         np.testing.assert_allclose(res.projected, expected, atol=0)
         assert res.kappa == pytest.approx(kappa, abs=1e-12)
         assert res.kappa == pytest.approx(0.5 * ((-3.0) + (5.0 - 1.0)), abs=1e-12)
+
+    def test_flat_stretch_kappa_is_its_midpoint_from_any_start(self):
+        # the search may stop with a coordinate a rounding error inside
+        # (0, 1) at either end of the stretch; kappa is still the midpoint
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(600):
+            m = int(rng.integers(2, 30))
+            k = int(rng.integers(1, m))
+            raw = rng.normal(0.0, 5.0, size=m)
+            top = np.sort(raw)[::-1]
+            if top[k - 1] - 1.0 <= top[k]:
+                continue  # no flat stretch at this budget
+            midpoint = 0.5 * (top[k] + (top[k - 1] - 1.0))
+            for start in (None, float(rng.normal(0.0, 5.0))):
+                res = project_capped_simplex(raw, float(k), start=start)
+                assert res.kappa == pytest.approx(midpoint, rel=1e-12, abs=1e-12)
+                checked += 1
+        assert checked > 500
 
     def test_all_ones_budget(self):
         # k equal to the edge count forces every weight to 1
