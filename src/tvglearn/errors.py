@@ -30,7 +30,8 @@ class SingularSystemError(TvgLearnError):
 
 
 class DivergenceError(TvgLearnError):
-    """The solver produced a non-finite objective value."""
+    """The solver's iterates outgrew floating point: the objective became
+    non-finite, or the final weights miss the edge budget."""
 
 
 class UsageError(TvgLearnError):

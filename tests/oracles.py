@@ -87,6 +87,9 @@ def breakpoint_projection(w, k):
         return float(np.clip(w - kappa, 0.0, 1.0).sum())
 
     values = np.array([g(b) for b in bps])
+    # a breakpoint whose sum reads k up to rounding lies on the level set;
+    # without the snap a flat stretch at k can lose one of its ends
+    values[np.abs(values - k) <= 1e-12 * len(w)] = k
     # g decreases from len(w) at bps[0] to 0 at bps[-1]; the level set
     # {g = k} is a point or a closed interval spanning whole flat segments,
     # so collect every segment's contribution and midpoint the union
@@ -141,13 +144,14 @@ def step_per_window(state, y_windows, cfg):
 
     A verbatim copy of the solver's ``step`` from before it projected the
     whole (b, m) stack in one call; it calls the library's per-window
-    layers.
+    layers.  Unset steps are sized here, from the per-window gradients, by
+    the rule the solver documents.
     """
     from tvglearn.errors import DivergenceError
     from tvglearn.graphs import objective
     from tvglearn.projection import project_capped_simplex
     from tvglearn.proximal import prox_l1_linear
-    from tvglearn.solver import SolverState, _residual, grad_w, update_x
+    from tvglearn.solver import C1, C2, SolverState, _residual, grad_w, update_x
 
     b = state.n_windows
     x_new = np.empty_like(state.x)
@@ -157,10 +161,21 @@ def step_per_window(state, y_windows, cfg):
     interim = SolverState(
         x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
     )
+    grads = [grad_w(t, interim, cfg) for t in range(b)]
+    if state.steps is not None:
+        tau1, tau2 = state.steps
+    else:
+        spread = np.mean([g.max() - g.min() for g in grads])
+        if not (0.0 < spread < np.inf and np.isfinite(C1 / spread)):
+            spread = 1.0
+        tau1 = C1 / spread if cfg.tau1 is None else cfg.tau1
+        tau2 = min(C2 * spread, 1.0 / cfg.lam) if cfg.tau2 is None else cfg.tau2
+    if cfg.tau1 is None:  # each row's kappa absorbs its offset
+        grads = [g - g.min() for g in grads]
     w_new = np.empty_like(state.w)
     kappa = np.empty(b)
     for t in range(b):
-        raw = state.w[t] - cfg.tau1 * grad_w(t, interim, cfg)
+        raw = state.w[t] - tau1 * grads[t]
         start = None if state.kappa is None else state.kappa[t]
         proj = project_capped_simplex(raw, cfg.k_budget, start=start)
         w_new[t] = proj.projected
@@ -172,7 +187,7 @@ def step_per_window(state, y_windows, cfg):
         z_new = prox_l1_linear(anchor, cfg.alpha, state.beta, cfg.lam)
         gap = z_new - diff
         sign = 1.0 if cfg.dual_sign == "ascent" else -1.0
-        beta_new = state.beta + sign * cfg.tau2 * gap
+        beta_new = state.beta + sign * tau2 * gap
     else:
         z_new = state.z.copy()
         beta_new = state.beta.copy()
@@ -182,8 +197,7 @@ def step_per_window(state, y_windows, cfg):
     )
     if not np.isfinite(obj):
         raise DivergenceError(
-            f"objective became non-finite at iteration "
-            f"{state.iteration + 1}; reduce tau1"
+            f"objective became non-finite at iteration {state.iteration + 1}"
         )
 
     new_state = SolverState(
@@ -194,6 +208,7 @@ def step_per_window(state, y_windows, cfg):
         iteration=state.iteration + 1,
         obj_history=state.obj_history + [obj],
         kappa=kappa,
+        steps=(tau1, tau2),
     )
     new_state.residual = _residual(new_state)
     return new_state

@@ -247,7 +247,9 @@ def test_07_synthetic_recovery():
     )
     assert cfg.z_update_mode == "anchored" and cfg.dual_sign == "ascent"
 
-    w_seq, _, _ = tg.fit_dynamic(truth.signals, cfg)
+    w_seq, _, report = tg.fit_dynamic(truth.signals, cfg)
+    assert report.converged
+    assert report.iterations <= 500
     f1 = [
         tg.edge_f1(w_seq[t], truth.segments[truth.segment_of_window(t)], spec.k_true)
         for t in range(spec.n_windows)
@@ -268,7 +270,8 @@ def test_07_synthetic_recovery():
     assert elapsed < 60.0
     _passed(7, f"recovery F1 {seg_f1[0]:.3f}/{seg_f1[1]:.3f} "
                f"(static {static_f1:.3f}), boundary at "
-               f"{int(np.argmax(profile))}, {elapsed:.1f}s")
+               f"{int(np.argmax(profile))}, converged in {report.iterations} "
+               f"iterations, {elapsed:.1f}s")
 
 
 def test_08_dynamic_single_window_equals_static():

@@ -293,6 +293,19 @@ class TestRun:
         assert report["config"] == \
             SolverConfig(k_budget=2.0, window_len=window_len).to_dict()
 
+    def test_report_has_the_steps_the_fit_used(self, tmp_path):
+        path = self._write_signals(tmp_path)
+        base = ["--mode", "dynamic", "--input", str(path), "--k", "2",
+                "--window-len", "8"]
+        assert run(base + ["--out", str(tmp_path / "auto")]) == 0
+        report = json.loads((tmp_path / "auto" / "report.json").read_text())
+        assert report["config"]["tau1"] is None and report["config"]["tau2"] is None
+        assert report["tau1"] > 0 and report["tau2"] > 0
+        assert run(base + ["--tau1", "0.05", "--out", str(tmp_path / "set")]) == 0
+        report = json.loads((tmp_path / "set" / "report.json").read_text())
+        assert report["config"]["tau1"] == report["tau1"] == 0.05
+        assert report["config"]["tau2"] is None and report["tau2"] > 0
+
     def test_synth_deterministic_bytes(self, tmp_path):
         args = ["--mode", "synth", "--seed", "7", "--n-nodes", "8",
                 "--k-true", "6", "--window-len", "20"]

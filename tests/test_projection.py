@@ -293,6 +293,23 @@ class TestProperties:
             np.testing.assert_allclose(res.projected, expected, atol=1e-8)
             assert res.kappa == pytest.approx(kappa, abs=1e-8)
 
+    def test_integer_budget_kappa_matches_breakpoint_method(self):
+        # g(w[0] - 1) rounds to k - 2e-16 here; the oracle once dropped that
+        # end of the flat stretch [w[1], w[0] - 1] and reported w[1]
+        w = np.array([-1.3577161001684586, -2.6779243855351567])
+        _, kappa = oracles.breakpoint_projection(w, 1.0)
+        assert kappa == pytest.approx(0.5 * (w[1] + w[0] - 1.0), abs=1e-12)
+        assert project_capped_simplex(w, 1.0).kappa == pytest.approx(kappa, abs=1e-12)
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            m = int(rng.integers(2, 30))
+            raw = rng.normal(0.0, float(rng.uniform(0.3, 10.0)), size=m)
+            k = float(rng.integers(1, m + 1))
+            res = project_capped_simplex(raw, k)
+            expected, kappa = oracles.breakpoint_projection(raw, k)
+            np.testing.assert_allclose(res.projected, expected, atol=1e-8)
+            assert res.kappa == pytest.approx(kappa, abs=1e-8)
+
     @pytest.mark.parametrize("n", [20, 100])
     @pytest.mark.parametrize("kind", HARD_KINDS)
     def test_hard_inputs_match_breakpoint_method_in_few_steps(self, n, kind):

@@ -1,7 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvglearn import (
     DivergenceError,
@@ -9,13 +12,24 @@ from tvglearn import (
     ScenarioSpec,
     SingularSystemError,
     SolverConfig,
+    TvgLearnError,
     fit_dynamic,
     fit_static,
     generate,
 )
 from tvglearn.graphs import n_edges, window_signals
 from tvglearn.projection import is_feasible
-from tvglearn.solver import SolverState, _initial_state, grad_w, step, update_x
+from tvglearn.solver import (
+    C1,
+    C2,
+    FitReport,
+    SolverState,
+    _initial_state,
+    _resolve_steps,
+    grad_w,
+    step,
+    update_x,
+)
 
 import oracles
 
@@ -471,3 +485,169 @@ class TestFits:
             for t in range(w_seq.shape[0]):
                 assert is_feasible(w_seq[t], 3.0, tol=1e-6)
         assert not np.allclose(w_anchor, w_lit, atol=1e-6)
+
+
+def _reference_scenario(seed):
+    # acceptance test_07's scenario and solver settings
+    spec = ScenarioSpec(
+        n_nodes=20, k_true=19, n_segments=2, windows_per_segment=4,
+        window_len=200, noise_sigma=0.1, seed=seed,
+    )
+    cfg = SolverConfig(k_budget=19.0, window_len=200, gamma=0.01, alpha=0.1)
+    return generate(spec).signals, cfg
+
+
+class TestDefaultSteps:
+    @pytest.mark.parametrize("seed", range(7))
+    def test_reference_scenario_converges(self, seed):
+        y, cfg = _reference_scenario(seed)
+        _, _, report = fit_dynamic(y, cfg)
+        assert report.converged and report.stop_reason == "tolerance"
+
+    @pytest.mark.parametrize("c", [0.5, 4.0])
+    def test_static_fit_follows_the_signal_scale(self, c):
+        # G scales with c**2 and tau1 = C1 / S with 1 / c**2, so the steps
+        # are the same; the objective stays above 1 at both scales, so the
+        # max(1, |obj|) floor in tol_obj does not act
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(12, 30)) + 0.5 * rng.normal(size=(12, 1))
+        cfg = SolverConfig(k_budget=11.0, gamma=0.05, eta=0.02)
+        w, _, report = fit_static(y, cfg)
+        w_c, _, report_c = fit_static(c * y, cfg)
+        assert report.converged and report_c.converged
+        assert min(report.final_objective, report_c.final_objective) >= 1.0
+        assert report_c.iterations == report.iterations > 1
+        np.testing.assert_allclose(w_c, w, rtol=0, atol=1e-9)
+        assert report_c.tau1 == pytest.approx(report.tau1 / c**2, rel=1e-12)
+
+    def test_report_carries_the_steps_in_use(self):
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=(4, 24))
+        y_windows = window_signals(y, 8)
+        cfg = SolverConfig(k_budget=2.0, window_len=8, gamma=0.3, max_iter=5)
+        state = _initial_state(y_windows, cfg)
+        x = np.stack([update_x(y_windows[t], state.w[t], 0.3, 0.0) for t in range(3)])
+        state.x = x
+        spread = np.mean([np.ptp(grad_w(t, state, cfg)) for t in range(3)])
+
+        _, _, report = fit_dynamic(y, cfg)
+        assert report.tau1 == pytest.approx(C1 / spread, rel=1e-12)
+        assert report.tau2 == pytest.approx(C2 * spread, rel=1e-12)
+        assert (report.to_dict()["tau1"], report.to_dict()["tau2"]) == (
+            report.tau1, report.tau2,
+        )
+        _, _, report = fit_dynamic(y, replace(cfg, tau2=0.07))
+        assert report.tau1 == pytest.approx(C1 / spread, rel=1e-12)
+        assert report.tau2 == 0.07
+        _, _, report = fit_dynamic(y, replace(cfg, tau1=0.03, tau2=0.07))
+        assert (report.tau1, report.tau2) == (0.03, 0.07)
+        # the step fields trail with defaults, so positional calls still work
+        assert FitReport(True, 1, 0.0, 0.0, ()).tau1 is None
+
+    @pytest.mark.parametrize(
+        "grads",
+        [
+            np.zeros((2, 3)),  # zero record
+            np.full((2, 3), -7.0),  # constant record
+            np.array([[0.0, 1e-320, 0.0]]),  # C1 / S overflows
+            np.array([[np.inf, 0.0, 1.0]]),
+            np.array([[np.nan, 0.0, 1.0]]),
+            np.array([[-1e308, 1e308]]),  # the spread itself overflows
+        ],
+        ids=["zero", "constant", "subnormal", "inf", "nan", "overflow"],
+    )
+    def test_degenerate_spread_falls_back_to_unit_scale(self, grads):
+        cfg = SolverConfig(k_budget=1.0, lam=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _resolve_steps(grads, cfg) == (C1, C2)
+
+    @pytest.mark.parametrize("case", ["one edge", "equal rows"])
+    def test_gradient_offset_far_above_its_spread_keeps_the_budget(self, case):
+        # eta near its bound makes G large, while its spread is zero (one
+        # edge) or rounding noise (equal rows), so C1 / S times G is far
+        # beyond the resolution of W - tau1 * G unless the offset goes
+        if case == "one edge":
+            y = np.array([[0.12573022], [-0.13210486]])
+        else:
+            y = np.full((3, 1), 0.1)
+        n = y.shape[0]
+        cfg = SolverConfig(
+            k_budget=1.0, gamma=0.01, eta=(1.0 - 1e-9) / (n - 1), window_len=1
+        )
+        w_seq, _, report = fit_dynamic(y, cfg)
+        assert all(is_feasible(w, 1.0, tol=1e-9) for w in w_seq)
+        assert np.isfinite(report.final_objective)
+
+    def test_subnormal_gradient_fit(self):
+        rng = np.random.default_rng(9)
+        w_seq, _, report = fit_dynamic(
+            1e-160 * rng.normal(size=(4, 12)), SolverConfig(k_budget=2.0, window_len=4)
+        )
+        assert (report.tau1, report.tau2) == (C1, C2)
+        assert report.converged
+        assert all(is_feasible(w, 2.0, tol=1e-9) for w in w_seq)
+
+    def test_budget_missed_beyond_float_resolution_is_divergence(self):
+        # eta at its bound: once W gives node 3 degree 3 the X system is near
+        # singular, X grows to 6e8 and W - tau1 * G spans about 1e18, more
+        # than the projection can resolve to meet the budget
+        y = np.array([[0.12573022], [-0.13210486], [0.64042265], [0.10490012]])
+        cfg = SolverConfig(k_budget=4.0, gamma=0.0, eta=(1.0 - 1e-9) / 3, window_len=1)
+        with pytest.raises(DivergenceError, match="budget"):
+            fit_dynamic(y, cfg)
+
+    def test_dual_step_is_capped_at_one_over_lam(self):
+        # Once |beta| is large, the anchored ascent step scales beta by about
+        # 1 - tau2 * lam, so a dual step above 2 / lam diverges.  At this
+        # signal scale C2 * S is far above it.
+        rng = np.random.default_rng(10)
+        cfg = SolverConfig(k_budget=2.0, window_len=8, lam=0.5, max_iter=300)
+        w_seq, _, report = fit_dynamic(1e3 * rng.normal(size=(4, 24)), cfg)
+        assert report.tau2 == 2.0
+        assert np.isfinite(w_seq).all() and np.isfinite(report.final_objective)
+        assert all(is_feasible(w, 2.0, tol=1e-9) for w in w_seq)
+
+
+@st.composite
+def _fit_case(draw):
+    n = draw(st.integers(2, 7))
+    b = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 10))
+    m = n_edges(n)
+    k = draw(st.one_of(
+        st.integers(1, m).map(float), st.floats(0.0, m, exclude_min=True)
+    ))
+    # eta * (n - 1) < 1, up to the bound itself
+    eta = draw(st.one_of(st.floats(0.0, 0.99), st.just(1.0 - 1e-9))) / (n - 1)
+    gamma = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    scale = draw(st.one_of(st.just(0.0), st.integers(-6, 6).map(lambda e: 10.0**e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = scale * rng.normal(size=(n, b * s))
+    for row in draw(st.sets(st.integers(0, n - 1))):
+        y[row] = draw(st.sampled_from([0.0, scale, -3.0 * scale]))
+    cfg = SolverConfig(
+        k_budget=k, gamma=gamma, eta=eta, window_len=s, max_iter=25
+    )
+    return y, cfg, draw(st.booleans())
+
+
+class TestFitProperties:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(case=_fit_case())
+    def test_default_steps_end_in_a_graph_or_a_typed_error(self, case):
+        y, cfg, static = case
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                if static:
+                    w, x, report = fit_static(y, cfg)
+                    w, x = w[np.newaxis], x[np.newaxis]
+                else:
+                    w, x, report = fit_dynamic(y, cfg)
+        except TvgLearnError:
+            return
+        assert np.isfinite(w).all() and np.isfinite(x).all()
+        assert np.isfinite(report.final_objective)
+        assert all(is_feasible(row, cfg.k_budget, tol=1e-6) for row in w)
+        assert 0.0 < report.tau1 < np.inf and 0.0 < report.tau2 < np.inf
