@@ -29,13 +29,11 @@ from .graphs import (
     degrees,
     edge_pairs,
     energy_penalty_term,
-    energy_penalty_term_pairwise,
     laplacian,
     n_edges,
     n_nodes_for_edges,
     objective,
     smoothness_term,
-    smoothness_term_dense,
     temporal_variation,
     weight_matrix,
     window_signals,
@@ -74,13 +72,11 @@ __all__ = [
     "degrees",
     "edge_pairs",
     "energy_penalty_term",
-    "energy_penalty_term_pairwise",
     "laplacian",
     "n_edges",
     "n_nodes_for_edges",
     "objective",
     "smoothness_term",
-    "smoothness_term_dense",
     "temporal_variation",
     "weight_matrix",
     "window_signals",

@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .graphs import edge_pairs, n_nodes_for_edges
-from .solver import DUAL_SIGNS, Z_UPDATE_MODES, SolverConfig, fit_dynamic, fit_static
+from .solver import SolverConfig, fit_dynamic, fit_static
 from .synthetic import ScenarioSpec, generate
 
 __all__ = ["RunConfig", "ingest_csv", "emit_results", "run", "main"]
@@ -48,8 +48,7 @@ MODES = ("static", "dynamic", "synth", "analyze", "consensus")
 
 # The flags and config-file keys are the SolverConfig and ScenarioSpec field
 # names ("--window-len" sets window_len) except these: field -> option name.
-_RENAMED = {"k_budget": "k", "lam": "lambda", "tol_residual": "tol_res",
-            "z_update_mode": "z_mode"}
+_RENAMED = {"k_budget": "k", "lam": "lambda", "tol_residual": "tol_res"}
 
 # Options that no dataclass field declares: name -> (type, help).
 _CLI_ONLY = {
@@ -65,7 +64,7 @@ _CLI_ONLY = {
 _CLI_DEFAULTS = {"heatmap": False, "prob_threshold": 0.5, "count_threshold": 5,
                  "n_nodes": 20, "k_true": 19}
 
-_CHOICES = {"mode": MODES, "z_mode": Z_UPDATE_MODES, "dual_sign": DUAL_SIGNS}
+_CHOICES = {"mode": MODES}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 

@@ -28,9 +28,7 @@ __all__ = [
     "degree_matrix",
     "laplacian",
     "smoothness_term",
-    "smoothness_term_dense",
     "energy_penalty_term",
-    "energy_penalty_term_pairwise",
     "temporal_variation",
     "objective",
 ]
@@ -127,7 +125,7 @@ def laplacian(weights) -> np.ndarray:
     return lap
 
 
-def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray, int]:
+def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray]:
     w, n = _as_edge_vector(weights)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != n:
@@ -135,7 +133,7 @@ def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray, int]:
             f"signal block with {x.shape[0] if x.ndim == 2 else '?'} rows does "
             f"not match a graph on {n} nodes"
         )
-    return w, x, n
+    return w, x
 
 
 def smoothness_term(weights, x) -> float:
@@ -144,14 +142,8 @@ def smoothness_term(weights, x) -> float:
     Evaluated by the edge-sum route; equals tr(x^T L(W) x) and is the hot
     path used inside the solver.
     """
-    w, x, _ = _check_block(weights, x)
+    w, x = _check_block(weights, x)
     return float(w @ _kernels.pairwise_sq_dists(x))
-
-
-def smoothness_term_dense(weights, x) -> float:
-    """tr(x^T L(W) x) assembled through the dense Laplacian."""
-    w, x, _ = _check_block(weights, x)
-    return float(np.trace(x.T @ laplacian(w) @ x))
 
 
 def energy_penalty_term(weights, x) -> float:
@@ -159,17 +151,9 @@ def energy_penalty_term(weights, x) -> float:
 
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
-    w, x, _ = _check_block(weights, x)
+    w, x = _check_block(weights, x)
     row_energy = np.einsum("ns,ns->n", x, x)
     return float(degrees(w) @ row_energy)
-
-
-def energy_penalty_term_pairwise(weights, x) -> float:
-    """Same quantity as an explicit pairwise sum over edges."""
-    w, x, n = _check_block(weights, x)
-    i_idx, j_idx = edge_pairs(n)
-    row_energy = np.einsum("ns,ns->n", x, x)
-    return float(w @ (row_energy[i_idx] + row_energy[j_idx]))
 
 
 def temporal_variation(w_seq) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Each iteration runs, in order and for every window: a closed-form update of
 the denoised signals X_t, a projected gradient step on the edge weights W_t
-(the steps of all windows are projected in one call), a proximal update of
-the splitting variables Z_t that stand in for W_t - W_{t+1}, and a dual
-step on the multipliers beta_t.  The static fit
-runs the same loop on a single window, where the Z and beta steps drop out.
+(the gradients of all windows come from one call, and their steps are
+projected in one call), a proximal update of the splitting variables Z_t that
+stand in for W_t - W_{t+1}, and a dual ascent step on the multipliers beta_t.
+The static fit runs the same loop on a single window, where the Z and beta
+steps drop out.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = [
     "fit_static",
 ]
 
-Z_UPDATE_MODES = ("anchored", "paper-literal")
-DUAL_SIGNS = ("ascent", "paper-literal")
-
 # An unset step is sized from S, the mean over windows of the spread
 # max(G_t) - min(G_t) of the first W-gradient: tau1 = C1 / S and
 # tau2 = min(C2 * S, 1 / lam).  beta is in gradient units and the weights
@@ -79,20 +77,15 @@ class SolverConfig:
         the step from the fit's own gradient scale on its first iteration:
         with S the mean over windows of max(G_t) - min(G_t) of the first
         W-gradient, tau1 = C1 / S and tau2 = min(C2 * S, 1 / lam) (C1
-        and C2 are module constants).  The report carries the steps a fit
-        used.
+        and C2 are module constants).  An explicit tau2 must satisfy
+        tau2 * lam < 2, the bound past which the dual ascent step stops
+        contracting.  The report carries the steps a fit used.
     max_iter : int
         Iteration cap.
     tol_obj : float
         Relative objective-change tolerance.
     tol_residual : float
         Tolerance on max_t ||Z_t - W_t + W_{t+1}||_inf.
-    z_update_mode : str
-        "anchored" re-anchors the prox at the current weight difference;
-        "paper-literal" iterates the prox on Z itself.
-    dual_sign : str
-        "ascent" moves beta up the constraint residual; "paper-literal"
-        moves it down.
     window_len : int or None
         Samples per window for dynamic fits; ignored by static fits.
     """
@@ -107,8 +100,6 @@ class SolverConfig:
     max_iter: int = 5000
     tol_obj: float = 1e-6
     tol_residual: float = 1e-4
-    z_update_mode: str = "anchored"
-    dual_sign: str = "ascent"
     window_len: int | None = None
 
     def __post_init__(self):
@@ -126,12 +117,15 @@ class SolverConfig:
                 continue  # sized from the first gradient
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.tau2 is not None and self.tau2 * self.lam >= 2.0:
+            # once |beta| is large, a dual step scales it by about
+            # 1 - tau2 * lam, which grows without bound past this point
+            raise ValueError(
+                f"tau2 * lambda must be below 2, got tau2={self.tau2}, "
+                f"lambda={self.lam}"
+            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.z_update_mode not in Z_UPDATE_MODES:
-            raise ValueError(f"z_update_mode must be one of {Z_UPDATE_MODES}")
-        if self.dual_sign not in DUAL_SIGNS:
-            raise ValueError(f"dual_sign must be one of {DUAL_SIGNS}")
 
     def validate_for(self, n_nodes: int) -> None:
         """Checks that need the node count; warns on the soft eta bound."""
@@ -235,28 +229,26 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     return (inv_factor.T @ inv_factor) @ y_block
 
 
-def grad_w(t: int, state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Gradient of the Lagrangian in window t's edge weights.
+def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
+    """Gradient of the Lagrangian in the edge weights of every window.
 
-    Per edge (i, j):
+    Given the (b, n, s) signals ``x`` and the (b-1, m) duals ``beta``, row t
+    of the (b, m) result holds, per edge (i, j):
         gamma*||x_i - x_j||^2 - eta*(||x_i||^2 + ||x_j||^2)
         - beta_t + beta_{t-1}
     with the convention that the boundary windows lack one coupling term.
     """
-    b = state.n_windows
-    if not 0 <= t < b:
-        raise IndexError(f"window index {t} outside 0..{b - 1}")
-    x_t = state.x[t]
-    n = x_t.shape[0]
-    i_idx, j_idx = edge_pairs(n)
-    grad = cfg.gamma * _kernels.pairwise_sq_dists(x_t)
+    b, n, _ = x.shape
+    grad = np.empty((b, n_edges(n)))
+    for t in range(b):
+        grad[t] = _kernels.pairwise_sq_dists(x[t])
+    grad *= cfg.gamma
     if cfg.eta != 0.0:
-        row_energy = np.einsum("ns,ns->n", x_t, x_t)
-        grad = grad - cfg.eta * (row_energy[i_idx] + row_energy[j_idx])
-    if t < b - 1:
-        grad = grad - state.beta[t]
-    if t > 0:
-        grad = grad + state.beta[t - 1]
+        i_idx, j_idx = edge_pairs(n)
+        row_energy = np.einsum("bns,bns->bn", x, x)
+        grad -= cfg.eta * (row_energy[:, i_idx] + row_energy[:, j_idx])
+    grad[:-1] -= beta
+    grad[1:] += beta
     return grad
 
 
@@ -294,18 +286,12 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     for t in range(b):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
 
-    interim = SolverState(
-        x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
-    )
-    raw = np.empty_like(state.w)
-    for t in range(b):
-        raw[t] = grad_w(t, interim, cfg)
+    raw = grad_w(x_new, state.beta, cfg)
     tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
-    if cfg.tau1 is None:
-        # C1 / S can be large next to the gradient's offset (a spread of
-        # rounding noise); the kappa of each row absorbs a shift of that row,
-        # so drop the offset to keep W - tau1 * G resolvable
-        raw -= raw.min(axis=1, keepdims=True)
+    # tau1 can be large next to the gradient's offset (C1 / S for a spread of
+    # rounding noise); the kappa of each row absorbs a shift of that row, so
+    # drop the offset to keep W - tau1 * G resolvable
+    raw -= raw.min(axis=1, keepdims=True)
     raw *= tau1
     np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
     proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
@@ -314,11 +300,8 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
 
     if b > 1:
         diff = w_new[:-1] - w_new[1:]
-        anchor = diff if cfg.z_update_mode == "anchored" else state.z
-        z_new = prox_l1_linear(anchor, cfg.alpha, state.beta, cfg.lam)
-        gap = z_new - diff
-        sign = 1.0 if cfg.dual_sign == "ascent" else -1.0
-        beta_new = state.beta + sign * tau2 * gap
+        z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
+        beta_new = state.beta + tau2 * (z_new - diff)
     else:
         z_new = state.z.copy()
         beta_new = state.beta.copy()
@@ -357,9 +340,13 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
         z=np.zeros((max(b - 1, 0), m)),
         beta=np.zeros((max(b - 1, 0), m)),
     )
-    obj0 = objective(
-        y_windows, state.x, state.w, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
-    )
+    # the squared distances and energies of a record past about 1e154
+    # overflow: the non-finite objective reports that as one typed error,
+    # without a floating-point warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj0 = objective(
+            y_windows, state.x, state.w, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
+        )
     if not np.isfinite(obj0):
         raise DivergenceError(
             "objective is non-finite at initialization; rescale the input"

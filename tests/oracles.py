@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles (loops, dense
 matrices, exhaustive enumeration) and never calls into the code paths it is
 meant to verify.  The one exception is :func:`step_per_window`, which runs the
-solver's own per-window layers in the per-window order the batched ``step``
-replaced, so the two can be compared iteration by iteration.
+solver's own X-update, projection, prox and objective one window at a time,
+in the order the batched ``step`` replaced, so the two can be compared
+iteration by iteration; its W-gradient is its own.
 """
 
 import itertools
@@ -122,6 +123,42 @@ def pairwise_sq_dists_loops(x):
     return np.array(out)
 
 
+def smoothness_term_dense(w_vec, x):
+    """tr(x^T L(W) x) assembled through the dense Laplacian."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.trace(x.T @ dense_laplacian(w_vec) @ x))
+
+
+def energy_penalty_term_pairwise(w_vec, x):
+    """sum_(i<j) w_ij (||x_i||^2 + ||x_j||^2), one edge at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    total = 0.0
+    e = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += float(w_vec[e]) * float(x[i] @ x[i] + x[j] @ x[j])
+            e += 1
+    return total
+
+
+def grad_w_window(x, beta, t, gamma, eta):
+    """Gradient of the Lagrangian in window t's weights, edge by edge:
+    gamma*||x_i - x_j||^2 - eta*(||x_i||^2 + ||x_j||^2) - beta_t + beta_{t-1},
+    where the first and last windows lack one coupling term."""
+    x_t = np.asarray(x[t], dtype=np.float64)
+    n = x_t.shape[0]
+    energy = np.array([float(row @ row) for row in x_t])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    grad = gamma * pairwise_sq_dists_loops(x_t)
+    grad -= eta * np.array([energy[i] + energy[j] for i, j in pairs])
+    if t < len(x) - 1:
+        grad -= beta[t]
+    if t > 0:
+        grad += beta[t - 1]
+    return grad
+
+
 def objective_per_window(y_windows, x_windows, w_seq, gamma, eta, alpha):
     """The model objective, one window at a time, from loop distances and
     dense degrees."""
@@ -142,26 +179,24 @@ def objective_per_window(y_windows, x_windows, w_seq, gamma, eta, alpha):
 def step_per_window(state, y_windows, cfg):
     """One solver iteration with a gradient step and a projection per window.
 
-    A verbatim copy of the solver's ``step`` from before it projected the
-    whole (b, m) stack in one call; it calls the library's per-window
-    layers.  Unset steps are sized here, from the per-window gradients, by
+    The solver's ``step`` from before it built the gradient and projected
+    the whole (b, m) stack in one call each.  The gradient comes from
+    :func:`grad_w_window`; the other layers are the library's per-window
+    calls.  Unset steps are sized here, from the per-window gradients, by
     the rule the solver documents.
     """
     from tvglearn.errors import DivergenceError
     from tvglearn.graphs import objective
     from tvglearn.projection import project_capped_simplex
     from tvglearn.proximal import prox_l1_linear
-    from tvglearn.solver import C1, C2, SolverState, _residual, grad_w, update_x
+    from tvglearn.solver import C1, C2, SolverState, _residual, update_x
 
     b = state.n_windows
     x_new = np.empty_like(state.x)
     for t in range(b):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
 
-    interim = SolverState(
-        x=x_new, w=state.w, z=state.z, beta=state.beta, iteration=state.iteration
-    )
-    grads = [grad_w(t, interim, cfg) for t in range(b)]
+    grads = [grad_w_window(x_new, state.beta, t, cfg.gamma, cfg.eta) for t in range(b)]
     if state.steps is not None:
         tau1, tau2 = state.steps
     else:
@@ -170,8 +205,7 @@ def step_per_window(state, y_windows, cfg):
             spread = 1.0
         tau1 = C1 / spread if cfg.tau1 is None else cfg.tau1
         tau2 = min(C2 * spread, 1.0 / cfg.lam) if cfg.tau2 is None else cfg.tau2
-    if cfg.tau1 is None:  # each row's kappa absorbs its offset
-        grads = [g - g.min() for g in grads]
+    grads = [g - g.min() for g in grads]  # each row's kappa absorbs its offset
     w_new = np.empty_like(state.w)
     kappa = np.empty(b)
     for t in range(b):
@@ -183,11 +217,8 @@ def step_per_window(state, y_windows, cfg):
 
     if b > 1:
         diff = w_new[:-1] - w_new[1:]
-        anchor = diff if cfg.z_update_mode == "anchored" else state.z
-        z_new = prox_l1_linear(anchor, cfg.alpha, state.beta, cfg.lam)
-        gap = z_new - diff
-        sign = 1.0 if cfg.dual_sign == "ascent" else -1.0
-        beta_new = state.beta + sign * tau2 * gap
+        z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
+        beta_new = state.beta + tau2 * (z_new - diff)
     else:
         z_new = state.z.copy()
         beta_new = state.beta.copy()

@@ -228,9 +228,42 @@ class TestRun:
                     "--out", str(tmp_path / "o"), "--k", "2",
                     "--gamma", "nan"]) == 1
 
+    def test_unstable_dual_step_is_usage_error(self, tmp_path, capsys):
+        y = 1e3 * np.random.default_rng(0).normal(size=(4, 24))
+        path = self._write_signals(tmp_path, y)
+        out = tmp_path / "o"
+        assert run(["--mode", "dynamic", "--input", str(path), "--out", str(out),
+                    "--k", "2", "--window-len", "8", "--lambda", "0.5",
+                    "--tau2", "5"]) == 1
+        assert "tau2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--z-mode", "anchored"], ["--dual-sign", "ascent"],
+        "z_mode=anchored", "dual_sign=ascent",
+    ])
+    def test_removed_update_rule_options_are_usage_errors(self, tmp_path, capsys, option):
+        # the paper-literal Z iteration and dual descent are not offered, and
+        # neither are the switches that chose them
+        path = self._write_signals(tmp_path)
+        args = ["--mode", "dynamic", "--input", str(path), "--out", str(tmp_path / "o"),
+                "--k", "2", "--window-len", "8"]
+        if isinstance(option, str):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(option + "\n")
+            args += ["--config", str(cfg_file)]
+        else:
+            args += option
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert ("unknown option" in err) if isinstance(option, str) else (option[0] in err)
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
-        assert "tvglearn" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "tvglearn" in out
+        assert "--z-mode" not in out and "--dual-sign" not in out
 
     def test_dynamic_fit_writes_all_windows(self, tmp_path):
         path = self._write_signals(tmp_path)
@@ -425,7 +458,7 @@ class TestRun:
 
 CONFIG_KEYS = {
     "mode", "input", "out", "window_len", "k", "gamma", "eta", "alpha", "lambda",
-    "tau1", "tau2", "max_iter", "tol_obj", "tol_res", "z_mode", "dual_sign", "seed",
+    "tau1", "tau2", "max_iter", "tol_obj", "tol_res", "seed",
     "heatmap", "n_nodes", "k_true", "n_segments", "windows_per_segment",
     "noise_sigma", "smooth_gamma", "zero_node_fraction", "prob_threshold",
     "count_threshold",

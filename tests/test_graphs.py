@@ -99,10 +99,10 @@ class TestTerms:
             w = rng.uniform(0.0, 1.0, size=graphs.n_edges(n))
             x = rng.normal(size=(n, s))
             smooth_edge = graphs.smoothness_term(w, x)
-            smooth_trace = graphs.smoothness_term_dense(w, x)
+            smooth_trace = oracles.smoothness_term_dense(w, x)
             assert smooth_edge == pytest.approx(smooth_trace, rel=1e-10, abs=1e-12)
             energy_deg = graphs.energy_penalty_term(w, x)
-            energy_pair = graphs.energy_penalty_term_pairwise(w, x)
+            energy_pair = oracles.energy_penalty_term_pairwise(w, x)
             assert energy_deg == pytest.approx(energy_pair, rel=1e-10, abs=1e-12)
 
 

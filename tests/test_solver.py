@@ -122,8 +122,9 @@ class TestGradW:
             beta=np.zeros((1, 3)),
         )
         cfg = SolverConfig(k_budget=1.5, gamma=1.0, eta=0.3)
-        np.testing.assert_array_equal(grad_w(0, state, cfg), 0.0)
-        np.testing.assert_array_equal(grad_w(1, state, cfg), 0.0)
+        grad = grad_w(state.x, state.beta, cfg)
+        assert grad.shape == (2, 3)
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_two_node_hand_value(self):
         state = SolverState(
@@ -133,7 +134,7 @@ class TestGradW:
             beta=np.zeros((0, 1)),
         )
         cfg = SolverConfig(k_budget=0.5, gamma=1.0, eta=0.1)
-        assert grad_w(0, state, cfg)[0] == pytest.approx(0.9)
+        assert grad_w(state.x, state.beta, cfg)[0, 0] == pytest.approx(0.9)
 
     def test_interior_window_dual_terms(self):
         state = SolverState(
@@ -143,16 +144,9 @@ class TestGradW:
             beta=np.array([[0.2], [0.5]]),
         )
         cfg = SolverConfig(k_budget=1.0, gamma=1.0, eta=0.0)
-        assert grad_w(1, state, cfg)[0] == pytest.approx(-0.3)
-
-    def test_index_out_of_range(self):
-        state = SolverState(
-            x=np.zeros((1, 2, 1)), w=np.ones((1, 1)),
-            z=np.zeros((0, 1)), beta=np.zeros((0, 1)),
+        np.testing.assert_allclose(
+            grad_w(state.x, state.beta, cfg)[:, 0], [-0.2, -0.3, 0.5], atol=1e-15
         )
-        cfg = SolverConfig(k_budget=1.0)
-        with pytest.raises(IndexError):
-            grad_w(1, state, cfg)
 
     def test_matches_finite_differences_of_lagrangian(self):
         rng = np.random.default_rng(21)
@@ -171,8 +165,9 @@ class TestGradW:
             )
             state = _random_state(rng, n, b, s, k)
             y = rng.normal(size=(b, n, s))
+            grads = grad_w(state.x, state.beta, cfg)
             for t in range(b):
-                grad = grad_w(t, state, cfg)
+                grad = grads[t]
                 for e in range(m):
                     def lag(delta, t=t, e=e):
                         w_mod = state.w.copy()
@@ -247,9 +242,10 @@ class TestStep:
                     getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12
                 )
 
-    @pytest.mark.parametrize("case", ["reference", "one window", "paper-literal"])
+    @pytest.mark.parametrize("case", ["reference", "one window", "four windows"])
     def test_matches_per_window_step(self, case):
-        # the batched step against the per-window loop it replaced
+        # the batched step against the per-window loop it replaced, whose
+        # gradient is the oracle's own
         if case == "reference":  # acceptance test_07's scenario and settings
             spec = ScenarioSpec(
                 n_nodes=20, k_true=19, n_segments=2, windows_per_segment=4,
@@ -260,13 +256,9 @@ class TestStep:
         else:
             rng = np.random.default_rng(12)
             y = rng.normal(size=(1 if case == "one window" else 4, 8, 30))
-            modes = (
-                dict(z_update_mode="paper-literal", dual_sign="paper-literal")
-                if case == "paper-literal" else {}
-            )
             cfg = SolverConfig(
                 k_budget=6.0, window_len=30, gamma=0.2, eta=0.05, alpha=0.3,
-                tau1=0.02, tau2=0.05, **modes,
+                tau1=0.02, tau2=0.05,
             )
         batched = per_window = _initial_state(y, cfg)
         for _ in range(100):
@@ -423,16 +415,26 @@ class TestFits:
         with pytest.raises(DivergenceError):
             fit_dynamic(y, cfg)
 
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    def test_huge_record_diverges_without_a_warning(self, fit):
+        # the squared distances of a 1e154 record overflow: the initial
+        # objective says so as a typed error, and nothing warns first
+        y = 1e154 * np.random.default_rng(0).normal(size=(3, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="initialization"):
+                fit(y, SolverConfig(k_budget=1, window_len=4))
+
     def test_eta_bound_warning(self):
         cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=5)
         with pytest.warns(UserWarning):
             cfg.validate_for(3)
 
     def test_mode_flags_validated(self):
-        with pytest.raises(ValueError):
-            SolverConfig(k_budget=1.0, z_update_mode="bogus")
-        with pytest.raises(ValueError):
-            SolverConfig(k_budget=1.0, dual_sign="bogus")
+        # the paper-literal Z iteration and dual descent are not offered
+        for removed in ("z_update_mode", "dual_sign"):
+            with pytest.raises(TypeError):
+                SolverConfig(k_budget=1.0, **{removed: "paper-literal"})
         for bad in (np.nan, np.inf):
             with pytest.raises(InfeasibleBudgetError):
                 SolverConfig(k_budget=bad)
@@ -443,48 +445,33 @@ class TestFits:
 
     def test_update_rule_formulas_per_mode(self):
         # one step from a handcrafted state, checked against the literal
-        # update formulas of each mode switch
+        # update formulas: the prox anchored at the current weight
+        # difference, then dual ascent on the constraint residual
         from tvglearn.proximal import soft_threshold
 
         rng = np.random.default_rng(99)
         y = rng.normal(size=(2, 3, 2))
-        for z_mode in ("anchored", "paper-literal"):
-            for dual in ("ascent", "paper-literal"):
-                cfg = SolverConfig(
-                    k_budget=1.2, window_len=2, gamma=0.3, eta=0.05,
-                    alpha=0.2, lam=0.6, tau1=0.03, tau2=0.07,
-                    z_update_mode=z_mode, dual_sign=dual,
-                )
-                state = _initial_state(y, cfg)
-                state.z = rng.normal(scale=0.2, size=(1, 3))
-                state.beta = rng.normal(scale=0.2, size=(1, 3))
-                z_old, beta_old = state.z.copy(), state.beta.copy()
-                new = step(state, y, cfg)
-                diff = new.w[0] - new.w[1]
-                anchor = diff if z_mode == "anchored" else z_old[0]
-                z_expected = soft_threshold(
-                    anchor - cfg.lam * beta_old[0], cfg.lam * cfg.alpha
-                )
-                np.testing.assert_allclose(new.z[0], z_expected, atol=1e-12)
-                sign = 1.0 if dual == "ascent" else -1.0
-                beta_expected = beta_old[0] + sign * cfg.tau2 * (new.z[0] - diff)
-                np.testing.assert_allclose(new.beta[0], beta_expected, atol=1e-12)
-
-    def test_paper_literal_modes_run_and_differ(self):
-        rng = np.random.default_rng(77)
-        y = rng.normal(size=(4, 20))
-        base = dict(k_budget=3.0, window_len=5, gamma=0.1, alpha=0.5, max_iter=40)
-        w_anchor, _, _ = fit_dynamic(y, SolverConfig(**base))
-        w_lit, _, _ = fit_dynamic(
-            y,
-            SolverConfig(
-                **base, z_update_mode="paper-literal", dual_sign="paper-literal"
-            ),
+        cfg = SolverConfig(
+            k_budget=1.2, window_len=2, gamma=0.3, eta=0.05,
+            alpha=0.2, lam=0.6, tau1=0.03, tau2=0.07,
         )
-        for w_seq in (w_anchor, w_lit):
-            for t in range(w_seq.shape[0]):
-                assert is_feasible(w_seq[t], 3.0, tol=1e-6)
-        assert not np.allclose(w_anchor, w_lit, atol=1e-6)
+        state = _initial_state(y, cfg)
+        state.z = rng.normal(scale=0.2, size=(1, 3))
+        state.beta = rng.normal(scale=0.2, size=(1, 3))
+        beta_old = state.beta.copy()
+        new = step(state, y, cfg)
+        diff = new.w[0] - new.w[1]
+        z_expected = soft_threshold(diff - cfg.lam * beta_old[0], cfg.lam * cfg.alpha)
+        np.testing.assert_allclose(new.z[0], z_expected, atol=1e-12)
+        beta_expected = beta_old[0] + cfg.tau2 * (new.z[0] - diff)
+        np.testing.assert_allclose(new.beta[0], beta_expected, atol=1e-12)
+
+    @pytest.mark.parametrize("tau2, lam", [(4.0, 0.5), (2.0, 1.0), (5.0, 0.5)])
+    def test_unstable_dual_step_rejected(self, tau2, lam):
+        # past tau2 * lam = 2 the dual ascent step no longer contracts beta
+        with pytest.raises(ValueError, match="tau2"):
+            SolverConfig(k_budget=2.0, tau2=tau2, lam=lam)
+        SolverConfig(k_budget=2.0, tau2=np.nextafter(2.0 / lam, 0.0), lam=lam)
 
 
 def _reference_scenario(seed):
@@ -527,8 +514,7 @@ class TestDefaultSteps:
         cfg = SolverConfig(k_budget=2.0, window_len=8, gamma=0.3, max_iter=5)
         state = _initial_state(y_windows, cfg)
         x = np.stack([update_x(y_windows[t], state.w[t], 0.3, 0.0) for t in range(3)])
-        state.x = x
-        spread = np.mean([np.ptp(grad_w(t, state, cfg)) for t in range(3)])
+        spread = np.mean(np.ptp(grad_w(x, state.beta, cfg), axis=1))
 
         _, _, report = fit_dynamic(y, cfg)
         assert report.tau1 == pytest.approx(C1 / spread, rel=1e-12)
