@@ -211,7 +211,5 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
         energy += float(np.einsum("bm,bm->", w_seq, buf))
     # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
     total = fit + gamma * smooth - eta * energy
-    if b > 1:
-        change = np.subtract(w_seq[1:], w_seq[:-1], out=buf[1:])
-        total += alpha * float(np.abs(change, out=change).sum())
-    return total
+    change = np.subtract(w_seq[1:], w_seq[:-1], out=buf[1:])  # empty for one window
+    return total + alpha * float(np.abs(change, out=change).sum())

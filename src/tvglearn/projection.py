@@ -25,12 +25,13 @@ DEFAULT_TOL = 1e-10
 class ProjectionResult:
     """Feasible point(s), the shift(s) that produced them, and root-finding steps.
 
-    For a (b, m) stack, ``kappa`` is a (b,) array and ``iterations`` the
-    total over the rows; every step evaluates the whole stack.  Where the
-    sum constraint is met on a whole flat stretch of shifts, ``kappa`` is
-    the stretch's midpoint.  A row stopped by the step cap lies in the box
-    but may miss k: at a cap of 2 steps, rows of the tests' hard inputs
-    missed it by up to 9.
+    The root finding stops once |sum(projected) - k| <= ``DEFAULT_TOL``, a
+    fixed tolerance.  For a (b, m) stack, ``kappa`` is a (b,) array and
+    ``iterations`` the total over the rows; every step evaluates the whole
+    stack.  Where the sum constraint is met on a whole flat stretch of
+    shifts, ``kappa`` is the stretch's midpoint.  A row stopped by the step
+    cap lies in the box but may miss k: at a cap of 2 steps, rows of the
+    tests' hard inputs missed it by up to 9.
     """
 
     projected: np.ndarray
@@ -38,9 +39,7 @@ class ProjectionResult:
     iterations: int
 
 
-def project_capped_simplex(
-    raw, k: float, tol: float = DEFAULT_TOL, start=None
-) -> ProjectionResult:
+def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
     """Project an edge vector, or each row of a stack, onto the capped simplex.
 
     The capped simplex is {0 <= w <= 1, sum(w) = k}.
@@ -52,8 +51,6 @@ def project_capped_simplex(
         vector or one per window.
     k : float
         Required total weight, 0 < k <= m.
-    tol : float
-        Root-finding stop tolerance on |sum(projected) - k|.
     start : None, float or array_like of shape (b,)
         First kappa to evaluate, for example the shift of the previous
         projection of a nearby vector; a stack takes one float for every row
@@ -65,8 +62,9 @@ def project_capped_simplex(
     -------
     ProjectionResult
         ``projected`` has the shape of ``raw``; each row sums to ``k``
-        within ``tol`` (typically much tighter) and sits exactly inside the
-        box.  Each row comes out exactly as its own 1-D projection would.
+        within the fixed root-finding tolerance ``DEFAULT_TOL`` (typically
+        much tighter) and sits exactly inside the box.  Each row comes out
+        exactly as its own 1-D projection would.
     """
     w = np.ascontiguousarray(raw, dtype=np.float64)
     if w.ndim not in (1, 2):
@@ -80,8 +78,6 @@ def project_capped_simplex(
         raise InfeasibleBudgetError(
             f"edge budget k={k} outside the feasible range (0, {m}]"
         )
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.ndim != 0 and (w.ndim != 2 or start.shape != w.shape[:1]):
@@ -91,7 +87,7 @@ def project_capped_simplex(
             )
 
     projected, kappa, iters = _kernels.capped_simplex_project(
-        w, float(k), float(tol), start
+        w, float(k), DEFAULT_TOL, start
     )
     return ProjectionResult(projected=projected, kappa=kappa, iterations=iters)
 

@@ -5,8 +5,8 @@ the denoised signals X_t, a projected gradient step on the edge weights W_t
 (the gradients of all windows come from one call, and their steps are
 projected in one call), a proximal update of the splitting variables Z_t that
 stand in for W_t - W_{t+1}, and a dual ascent step on the multipliers beta_t.
-The static fit runs the same loop on a single window, where the Z and beta
-steps drop out.
+A static fit is a dynamic fit on a single window, whose Z and beta stacks are
+empty.
 """
 
 from __future__ import annotations
@@ -253,10 +253,8 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
 
 
 def _residual(state: SolverState) -> float:
-    if state.n_windows < 2:
-        return 0.0
     gap = state.z - (state.w[:-1] - state.w[1:])
-    return float(np.abs(gap).max())
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
@@ -281,30 +279,34 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
 
 def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     """One full iteration over all windows; returns the advanced state."""
-    b = state.n_windows
     x_new = np.empty_like(state.x)
-    for t in range(b):
-        x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
-
-    raw = grad_w(x_new, state.beta, cfg)
-    tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
-    # tau1 can be large next to the gradient's offset (C1 / S for a spread of
-    # rounding noise); the kappa of each row absorbs a shift of that row, so
-    # drop the offset to keep W - tau1 * G resolvable
-    raw -= raw.min(axis=1, keepdims=True)
-    raw *= tau1
-    np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
+    # a record near 1e153 can overflow the X-update, the gradient or the W
+    # step: the check below reports that as one typed error, without a
+    # floating-point warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(state.n_windows):
+            x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
+        raw = grad_w(x_new, state.beta, cfg)
+        tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
+        # tau1 can be large next to the gradient's offset (C1 / S for a
+        # spread of rounding noise); the kappa of each row absorbs a shift of
+        # that row, so drop the offset to keep W - tau1 * G resolvable
+        raw -= raw.min(axis=1, keepdims=True)
+        raw *= tau1
+        np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
+    if not np.isfinite(raw).all():
+        raise DivergenceError(
+            f"the W-gradient step became non-finite at iteration "
+            f"{state.iteration + 1} with tau1={tau1:.3g}; rescale the input "
+            f"or reduce eta"
+        )
     proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
     w_new, kappa = proj.projected, proj.kappa
     del raw, proj  # spent; freeing them lowers the step's peak memory
 
-    if b > 1:
-        diff = w_new[:-1] - w_new[1:]
-        z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
-        beta_new = state.beta + tau2 * (z_new - diff)
-    else:
-        z_new = state.z.copy()
-        beta_new = state.beta.copy()
+    diff = w_new[:-1] - w_new[1:]  # (b-1, m); empty for one window
+    z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
+    beta_new = state.beta + tau2 * (z_new - diff)
 
     obj = objective(
         y_windows, x_new, w_new, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
@@ -337,8 +339,8 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     state = SolverState(
         x=y_windows.copy(),
         w=w0,
-        z=np.zeros((max(b - 1, 0), m)),
-        beta=np.zeros((max(b - 1, 0), m)),
+        z=np.zeros((b - 1, m)),
+        beta=np.zeros((b - 1, m)),
     )
     # the squared distances and energies of a record past about 1e154
     # overflow: the non-finite objective reports that as one typed error,
@@ -385,7 +387,7 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
                 f"(largest |x| {np.abs(state.x).max():.3g}); rescale the "
                 f"input or reduce eta"
             )
-    changes = temporal_variation(state.w) if state.n_windows > 1 else np.empty(0)
+    changes = temporal_variation(state.w)
     report = FitReport(
         converged=converged,
         iterations=state.iteration,
@@ -427,13 +429,11 @@ def fit_dynamic(y, cfg: SolverConfig):
 def fit_static(y, cfg: SolverConfig):
     """Learn a single graph over the whole record.
 
-    The record is treated as one window, so the temporal coupling never
-    appears.  Returns (weights, x, report) with ``weights`` of shape
-    (n_edges,) and ``x`` the denoised (n_nodes, n_samples) record.
+    This is :func:`fit_dynamic` on one window that spans the record
+    (``cfg.window_len`` is ignored), so the temporal coupling never appears.
+    Returns (weights, x, report) with ``weights`` of shape (n_edges,) and
+    ``x`` the denoised (n_nodes, n_samples) record.
     """
     y = as_signal_matrix(y)
-    cfg.validate_for(y.shape[0])
-    whole = replace(cfg, window_len=y.shape[1])
-    y_windows = window_signals(y, whole.window_len)
-    state, report = _run(y_windows, whole)
-    return state.w[0], state.x[0], report
+    w_seq, x_windows, report = fit_dynamic(y, replace(cfg, window_len=y.shape[1]))
+    return w_seq[0], x_windows[0], report

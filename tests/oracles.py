@@ -176,6 +176,57 @@ def objective_per_window(y_windows, x_windows, w_seq, gamma, eta, alpha):
     return total
 
 
+def w_block_costs(x_windows, gamma, eta):
+    """The (b, m) linear cost of the weights at fixed signals, edge by edge:
+    gamma*||x_i - x_j||^2 - eta*(||x_i||^2 + ||x_j||^2), which is the
+    W-gradient at zero duals."""
+    b, n, _ = x_windows.shape
+    beta = np.zeros((b - 1, n * (n - 1) // 2))
+    return np.stack([grad_w_window(x_windows, beta, t, gamma, eta) for t in range(b)])
+
+
+def w_block_value(costs, w_seq, alpha):
+    """The W-dependent part of the objective at fixed signals: the linear
+    costs plus alpha times the l1 change between consecutive windows."""
+    w_seq = np.asarray(w_seq, dtype=np.float64)
+    coupling = sum(float(np.abs(w_seq[t] - w_seq[t + 1]).sum())
+                   for t in range(len(w_seq) - 1))
+    return float((costs * w_seq).sum()) + alpha * coupling
+
+
+def w_block_lp(costs, k, alpha):
+    """Minimum of :func:`w_block_value` over feasible graph sequences.
+
+    With X fixed, the objective is linear in W plus an l1 coupling, over one
+    capped simplex {0 <= w_t <= 1, sum(w_t) = k} per window: a linear
+    program once each coupling term |w_t,e - w_{t+1},e| gets an auxiliary
+    u_t,e >= 0 bounded below by both signs of the difference.  Solved with
+    HiGHS on sparse constraints.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    b, m = costs.shape
+    # D maps the stacked W to the (b-1)*m differences w_t - w_{t+1}
+    diff = sparse.kron(sparse.eye(b - 1, b) - sparse.eye(b - 1, b, k=1),
+                       sparse.eye(m))
+    minus_u = -sparse.eye((b - 1) * m)
+    a_ub = sparse.vstack([sparse.hstack([diff, minus_u]),
+                          sparse.hstack([-diff, minus_u])])
+    a_eq = sparse.hstack([sparse.kron(sparse.eye(b), np.ones((1, m))),
+                          sparse.csr_matrix((b, (b - 1) * m))])
+    res = linprog(
+        np.concatenate([costs.ravel(), np.full((b - 1) * m, alpha)]),
+        A_ub=a_ub.tocsr(), b_ub=np.zeros(2 * (b - 1) * m),
+        A_eq=a_eq.tocsr(), b_eq=np.full(b, float(k)),
+        bounds=[(0.0, 1.0)] * (b * m) + [(0.0, None)] * ((b - 1) * m),
+        method="highs",
+    )
+    if res.status != 0:
+        raise AssertionError(f"W-block LP failed: {res.message}")
+    return float(res.fun)
+
+
 def step_per_window(state, y_windows, cfg):
     """One solver iteration with a gradient step and a projection per window.
 

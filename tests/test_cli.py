@@ -161,6 +161,17 @@ class TestRun:
         assert code == 3
         assert "window 0" in capsys.readouterr().err
 
+    def test_overflowing_step_is_numeric_error(self, tmp_path, capsys):
+        # a record near 1e153 keeps a finite objective but overflows the
+        # second step's W-gradient
+        data = 10**153.3 * np.random.default_rng(0).normal(size=(3, 16))
+        path = self._write_signals(tmp_path, data)
+        code = run(["--mode", "dynamic", "--input", str(path),
+                    "--out", str(tmp_path / "o"), "--k", "1",
+                    "--window-len", "8", "--eta", "0.45", "--max-iter", "30"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_infeasible_budget_is_usage_error(self, tmp_path):
         path = self._write_signals(tmp_path)
         assert run(["--mode", "static", "--input", str(path),

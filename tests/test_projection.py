@@ -125,8 +125,6 @@ class TestStack:
             project_capped_simplex(bad, 1.0)
         with pytest.raises(InfeasibleBudgetError):
             project_capped_simplex(stack, 5.0)
-        with pytest.raises(ValueError, match="tol"):
-            project_capped_simplex(stack, 1.0, tol=0.0)
         with pytest.raises(ValueError, match="start"):
             project_capped_simplex(stack, 1.0, start=np.zeros(2))
         with pytest.raises(ValueError, match="start"):
@@ -215,10 +213,6 @@ class TestBasics:
     def test_non_finite_input(self):
         with pytest.raises(ValueError):
             project_capped_simplex(np.array([np.nan, 0.0]), 1.0)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            project_capped_simplex(np.zeros(3), 1.0, tol=0.0)
 
 
 class TestFeasibility:

@@ -387,6 +387,18 @@ class TestFits:
             assert np.array_equal(x_dyn[0], x_sta)
             assert rep_dyn == rep_sta
 
+    @pytest.mark.parametrize("window_len", [None, 200])
+    def test_static_is_dynamic_on_one_whole_window(self, window_len):
+        # fit_static ignores cfg.window_len and runs fit_dynamic with one
+        # window that spans the record
+        y, cfg = _reference_scenario(25)
+        cfg = replace(cfg, window_len=window_len)
+        w, x, report = fit_static(y, cfg)
+        w_seq, x_seq, report_dyn = fit_dynamic(y, replace(cfg, window_len=y.shape[1]))
+        assert w_seq.shape[0] == x_seq.shape[0] == 1
+        assert np.array_equal(w, w_seq[0]) and np.array_equal(x, x_seq[0])
+        assert report == report_dyn and report.per_window_change == ()
+
     def test_stop_reason(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=(4, 24))
@@ -424,6 +436,25 @@ class TestFits:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match="initialization"):
                 fit(y, SolverConfig(k_budget=1, window_len=4))
+
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    @pytest.mark.parametrize(
+        "scale, shape, window_len, eta",
+        [(10**153.3, (3, 16), 8, 0.45), (10**153.375, (12, 10), 5, 0.0)],
+        ids=["gradient", "step"],
+    )
+    def test_overflowing_step_diverges_without_a_warning(
+        self, fit, scale, shape, window_len, eta
+    ):
+        # the initial objective of a record near 1e153 can be finite while a
+        # later X-update, W-gradient or W step overflows: the first dynamic
+        # case overflows the gradient, the second the step tau1 * G
+        y = scale * np.random.default_rng(0).normal(size=shape)
+        cfg = SolverConfig(k_budget=1.0, window_len=window_len, eta=eta, max_iter=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="non-finite"):
+                fit(y, cfg)
 
     def test_eta_bound_warning(self):
         cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=5)
@@ -490,6 +521,18 @@ class TestDefaultSteps:
         y, cfg = _reference_scenario(seed)
         _, _, report = fit_dynamic(y, cfg)
         assert report.converged and report.stop_reason == "tolerance"
+
+    def test_fixed_point_is_w_block_optimal(self):
+        # with X fixed at the fit's final signals the objective is a linear
+        # program in W; a tightly converged fit sits at its optimum
+        y, cfg = _reference_scenario(25)
+        cfg = replace(cfg, tol_residual=1e-8, tol_obj=1e-12)
+        w_seq, x_seq, report = fit_dynamic(y, cfg)
+        assert report.converged
+        costs = oracles.w_block_costs(x_seq, cfg.gamma, cfg.eta)
+        optimum = oracles.w_block_lp(costs, cfg.k_budget, cfg.alpha)
+        gap = oracles.w_block_value(costs, w_seq, cfg.alpha) - optimum
+        assert -1e-8 <= gap <= 1e-8
 
     @pytest.mark.parametrize("c", [0.5, 4.0])
     def test_static_fit_follows_the_signal_scale(self, c):
