@@ -136,14 +136,32 @@ def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray]:
     return w, x
 
 
-def smoothness_term(weights, x) -> float:
-    """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2.
+def _sq_dist_stack(x_windows) -> np.ndarray:
+    """The (b, m) squared row distances of a (b, n, s) stack, window by window."""
+    out = np.empty((x_windows.shape[0], n_edges(x_windows.shape[1])))
+    for t, x in enumerate(x_windows):
+        out[t] = _kernels.pairwise_sq_dists(x)
+    return out
 
-    Evaluated by the edge-sum route; equals tr(x^T L(W) x) and is the hot
-    path used inside the solver.
-    """
+
+def _energy_sum(x_windows, w_seq, buf) -> float:
+    """sum_t tr(x_t^T D(W_t) x_t) over a (b, n, s) stack, via the (b, m) ``buf``."""
+    row_energy = np.einsum("bns,bns->bn", x_windows, x_windows)
+    energy = 0.0
+    # sum_i d_i ||x_i||^2 = sum_(i,j) w_ij (||x_i||^2 + ||x_j||^2)
+    for idx in _kernels.triu_pairs(x_windows.shape[1]):
+        # the indices are in range; "clip" lets take write straight into
+        # out, where the default mode buffers a copy first
+        np.take(row_energy, idx, axis=1, out=buf, mode="clip")
+        energy += float(np.einsum("bm,bm->", w_seq, buf))
+    return energy
+
+
+def smoothness_term(weights, x) -> float:
+    """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2 = tr(x^T L(W) x),
+    from the distances that the solver's gradient and objective use."""
     w, x = _check_block(weights, x)
-    return float(w @ _kernels.pairwise_sq_dists(x))
+    return float(w @ _sq_dist_stack(x[np.newaxis])[0])
 
 
 def energy_penalty_term(weights, x) -> float:
@@ -152,8 +170,7 @@ def energy_penalty_term(weights, x) -> float:
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
     w, x = _check_block(weights, x)
-    row_energy = np.einsum("ns,ns->n", x, x)
-    return float(degrees(w) @ row_energy)
+    return _energy_sum(x[np.newaxis], w[np.newaxis], np.empty((1, w.shape[0])))
 
 
 def temporal_variation(w_seq) -> np.ndarray:
@@ -191,24 +208,14 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     # window-sized buffer.  einsum, not a BLAS dot: a zero weight on an
     # infinite distance or energy must give NaN without a floating-point
     # warning.
-    b = w_seq.shape[0]
-    buf = np.empty_like(w_seq)
-    for t in range(b):
-        buf[t] = _kernels.pairwise_sq_dists(x_windows[t])
+    buf = _sq_dist_stack(x_windows)
     smooth = float(np.einsum("bm,bm->", w_seq, buf))
     resid = np.empty_like(y_windows[0])
     fit = 0.0
-    for t in range(b):
+    for t in range(w_seq.shape[0]):
         np.subtract(y_windows[t], x_windows[t], out=resid)
         fit += float(np.einsum("ns,ns->", resid, resid))
-    # sum_i d_i ||x_i||^2 = sum_(i,j) w_ij (||x_i||^2 + ||x_j||^2)
-    row_energy = np.einsum("bns,bns->bn", x_windows, x_windows)
-    energy = 0.0
-    for idx in _kernels.triu_pairs(n):
-        # the indices are in range; "clip" lets take write straight into
-        # out, where the default mode buffers a copy first
-        np.take(row_energy, idx, axis=1, out=buf, mode="clip")
-        energy += float(np.einsum("bm,bm->", w_seq, buf))
+    energy = _energy_sum(x_windows, w_seq, buf)
     # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
     total = fit + gamma * smooth - eta * energy
     change = np.subtract(w_seq[1:], w_seq[:-1], out=buf[1:])  # empty for one window

@@ -8,9 +8,15 @@ __all__ = ["soft_threshold", "prox_l1_linear"]
 
 
 def soft_threshold(a, s):
-    """Shrink ``a`` toward zero by ``s``: sign(a) * max(|a| - s, 0)."""
+    """Shrink ``a`` toward zero by ``s >= 0``: sign(a) * max(|a| - s, 0).
+
+    Evaluated as a minus its clip to [-s, s]: the same values up to the sign
+    of zeros, in three array passes.
+    """
+    if s < 0:
+        raise ValueError(f"threshold must be non-negative, got {s}")
     a = np.asarray(a, dtype=np.float64)
-    return np.sign(a) * np.maximum(np.abs(a) - s, 0.0)
+    return a - np.minimum(np.maximum(a, -s), s)
 
 
 def prox_l1_linear(v, alpha: float, beta, lam: float):

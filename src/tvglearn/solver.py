@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _kernels
 from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
 from .graphs import (
+    _sq_dist_stack,
     as_signal_matrix,
     edge_pairs,
     n_edges,
@@ -160,7 +160,7 @@ class SolverState:
     beta: np.ndarray  # (b-1, m) dual variables
     iteration: int = 0
     obj_history: list = field(default_factory=list)
-    residual: float = 0.0
+    residual: float = 0.0  # max |Z - W_t + W_{t+1}|; 0 at the start (Z = 0, W_t equal)
     kappa: np.ndarray | None = None  # (b,) last projection shifts, or None
     steps: tuple | None = None  # (tau1, tau2) in use; the first step sets it
 
@@ -238,23 +238,15 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
         - beta_t + beta_{t-1}
     with the convention that the boundary windows lack one coupling term.
     """
-    b, n, _ = x.shape
-    grad = np.empty((b, n_edges(n)))
-    for t in range(b):
-        grad[t] = _kernels.pairwise_sq_dists(x[t])
+    grad = _sq_dist_stack(x)
     grad *= cfg.gamma
     if cfg.eta != 0.0:
-        i_idx, j_idx = edge_pairs(n)
+        i_idx, j_idx = edge_pairs(x.shape[1])
         row_energy = np.einsum("bns,bns->bn", x, x)
         grad -= cfg.eta * (row_energy[:, i_idx] + row_energy[:, j_idx])
     grad[:-1] -= beta
     grad[1:] += beta
     return grad
-
-
-def _residual(state: SolverState) -> float:
-    gap = state.z - (state.w[:-1] - state.w[1:])
-    return float(np.abs(gap).max(initial=0.0))
 
 
 def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
@@ -306,7 +298,10 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
 
     diff = w_new[:-1] - w_new[1:]  # (b-1, m); empty for one window
     z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
-    beta_new = state.beta + tau2 * (z_new - diff)
+    gap = z_new - diff  # the splitting residual Z - (W_t - W_{t+1})
+    beta_new = state.beta + tau2 * gap
+    residual = float(np.abs(gap, out=gap).max(initial=0.0))
+    del gap  # spent; held through the objective it raises the step's peak memory
 
     obj = objective(
         y_windows, x_new, w_new, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
@@ -318,18 +313,17 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
             f"or set a smaller tau1"
         )
 
-    new_state = SolverState(
+    return SolverState(
         x=x_new,
         w=w_new,
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
         obj_history=state.obj_history + [obj],
+        residual=residual,
         kappa=kappa,
         steps=(tau1, tau2),
     )
-    new_state.residual = _residual(new_state)
-    return new_state
 
 
 def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
@@ -354,7 +348,6 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
             "objective is non-finite at initialization; rescale the input"
         )
     state.obj_history.append(obj0)
-    state.residual = _residual(state)
     return state
 
 

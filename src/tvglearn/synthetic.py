@@ -7,6 +7,7 @@ scored against a known answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,14 @@ class ScenarioSpec:
             raise ValueError("need at least one segment and one window")
         if self.window_len < 1:
             raise ValueError("window_len must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.smooth_gamma <= 0:
-            raise ValueError("smooth_gamma must be positive")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
+        if not (math.isfinite(self.smooth_gamma) and self.smooth_gamma > 0):
+            raise ValueError(
+                f"smooth_gamma must be positive and finite, got {self.smooth_gamma}"
+            )
         if not 0.0 <= self.zero_node_fraction < 1.0:
             raise ValueError("zero_node_fraction must be in [0, 1)")
 

@@ -5,7 +5,7 @@ matrices, exhaustive enumeration) and never calls into the code paths it is
 meant to verify.  The one exception is :func:`step_per_window`, which runs the
 solver's own X-update, projection, prox and objective one window at a time,
 in the order the batched ``step`` replaced, so the two can be compared
-iteration by iteration; its W-gradient is its own.
+iteration by iteration; its W-gradient and its residual are its own.
 """
 
 import itertools
@@ -142,6 +142,12 @@ def energy_penalty_term_pairwise(w_vec, x):
     return total
 
 
+def soft_threshold_sign(a, s):
+    """sign(a) * max(|a| - s, 0), written out as that formula."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.sign(a) * np.maximum(np.abs(a) - s, 0.0)
+
+
 def grad_w_window(x, beta, t, gamma, eta):
     """Gradient of the Lagrangian in window t's weights, edge by edge:
     gamma*||x_i - x_j||^2 - eta*(||x_i||^2 + ||x_j||^2) - beta_t + beta_{t-1},
@@ -240,7 +246,7 @@ def step_per_window(state, y_windows, cfg):
     from tvglearn.graphs import objective
     from tvglearn.projection import project_capped_simplex
     from tvglearn.proximal import prox_l1_linear
-    from tvglearn.solver import C1, C2, SolverState, _residual, update_x
+    from tvglearn.solver import C1, C2, SolverState, update_x
 
     b = state.n_windows
     x_new = np.empty_like(state.x)
@@ -282,18 +288,18 @@ def step_per_window(state, y_windows, cfg):
             f"objective became non-finite at iteration {state.iteration + 1}"
         )
 
-    new_state = SolverState(
+    return SolverState(
         x=x_new,
         w=w_new,
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
         obj_history=state.obj_history + [obj],
+        residual=max((float(np.abs(z_new[t] - w_new[t] + w_new[t + 1]).max())
+                      for t in range(b - 1)), default=0.0),
         kappa=kappa,
         steps=(tau1, tau2),
     )
-    new_state.residual = _residual(new_state)
-    return new_state
 
 
 def golden_min(fn, lo, hi, iters=200):

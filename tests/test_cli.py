@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from tvglearn.cli import (
     _OPTIONS,
+    _RENAMED,
     _build_parser,
     _read_graph_csv,
     _write_pgm,
@@ -16,6 +18,7 @@ from tvglearn.cli import (
 )
 from tvglearn.errors import CsvParseError, CsvShapeError
 from tvglearn.solver import FitReport, SolverConfig
+from tvglearn.synthetic import ScenarioSpec
 
 
 class TestIngestCsv:
@@ -112,6 +115,16 @@ MALFORMED_CSVS = {
     "nan": "1,2,3\n4,nan,6\n",
     "overflow": "1,2,3\n4,1e999,6\n",
 }
+
+
+# (class, field, option) of every float field the CLI sets, read through the
+# parser's own option table, so that a field added later is covered too
+FLOAT_FIELDS = [
+    (cls, f.name, _RENAMED.get(f.name, f.name))
+    for cls in (SolverConfig, ScenarioSpec)
+    for f in fields(cls)
+    if _OPTIONS[_RENAMED.get(f.name, f.name)][0] is float
+]
 
 
 class TestRun:
@@ -238,6 +251,26 @@ class TestRun:
         assert run(["--mode", "static", "--input", str(path),
                     "--out", str(tmp_path / "o"), "--k", "2",
                     "--gamma", "nan"]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "cls, name, option", FLOAT_FIELDS,
+        ids=[f"{cls.__name__}.{name}" for cls, name, _ in FLOAT_FIELDS],
+    )
+    def test_non_finite_float_field_is_usage_error(
+        self, tmp_path, capsys, cls, name, option, value
+    ):
+        out = tmp_path / "o"
+        if cls is ScenarioSpec:
+            args = ["--mode", "synth"]
+        else:
+            args = ["--mode", "dynamic", "--input", str(self._write_signals(tmp_path)),
+                    "--k", "2", "--window-len", "8"]
+        # the last flag wins, so --k nan replaces --k 2
+        args += ["--out", str(out), "--" + option.replace("_", "-"), value]
+        assert run(args) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unstable_dual_step_is_usage_error(self, tmp_path, capsys):
         y = 1e3 * np.random.default_rng(0).normal(size=(4, 24))

@@ -21,6 +21,29 @@ class TestSoftThreshold:
     def test_dead_zone(self):
         assert soft_threshold(0.4, 1.0) == 0.0
 
+    def test_negative_threshold_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            soft_threshold(np.ones(3), -0.1)
+
+    @pytest.mark.parametrize("shape", [(7, 190), (3, 4950), (0, 190), (5,)])
+    def test_matches_the_sign_formula_on_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-8, 1.0, 1e8):
+            a = scale * rng.normal(size=shape)
+            for s in (0.0, 0.5 * scale, scale, float(np.abs(a).max(initial=0.0))):
+                # equal up to the sign of zeros, which array_equal ignores
+                assert np.array_equal(soft_threshold(a, s),
+                                      oracles.soft_threshold_sign(a, s))
+
+    def test_matches_the_sign_formula_on_edge_values(self):
+        a = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                      np.nextafter(-1.0, -2.0), np.inf, -np.inf, np.nan, 5e-324])
+        for s in (0.0, 1.0, 5e-324, np.inf, np.nan):
+            with np.errstate(invalid="ignore"):  # inf - inf in both forms
+                new = soft_threshold(a, s)
+                old = oracles.soft_threshold_sign(a, s)
+            assert np.array_equal(new, old, equal_nan=True), s
+
 
 class TestProx:
     def test_origin(self):

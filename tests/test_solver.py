@@ -201,6 +201,18 @@ class TestStep:
         assert new.z.shape == (0, 3)
         assert new.residual == 0.0
 
+    def test_residual_is_the_largest_splitting_gap(self):
+        rng = np.random.default_rng(17)
+        cfg = SolverConfig(k_budget=4.0, window_len=12, gamma=0.3, eta=0.05,
+                           alpha=0.2, tau1=0.05, tau2=0.1)
+        y = rng.normal(size=(4, 6, 12))
+        state = _initial_state(y, cfg)
+        assert state.residual == 0.0
+        for _ in range(50):
+            state = step(state, y, cfg)
+            gap = state.z - (state.w[:-1] - state.w[1:])
+            assert state.residual == np.abs(gap).max()
+
     def test_every_window_feasible_after_each_step(self):
         rng = np.random.default_rng(33)
         cfg = SolverConfig(k_budget=2.5, window_len=5, gamma=0.2, alpha=0.3)
@@ -264,7 +276,7 @@ class TestStep:
         for _ in range(100):
             batched = step(batched, y, cfg)
             per_window = oracles.step_per_window(per_window, y, cfg)
-            for name in ("w", "x", "z", "beta", "obj_history"):
+            for name in ("w", "x", "z", "beta", "obj_history", "residual"):
                 np.testing.assert_allclose(
                     getattr(batched, name), getattr(per_window, name),
                     rtol=0, atol=1e-12, err_msg=name,

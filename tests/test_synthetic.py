@@ -20,6 +20,14 @@ def _spec(**kwargs):
     return ScenarioSpec(**base)
 
 
+class TestSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["noise_sigma", "smooth_gamma"])
+    def test_non_finite_scale_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            _spec(**{name: value})
+
+
 class TestGenerate:
     def test_deterministic(self):
         a = generate(_spec())
