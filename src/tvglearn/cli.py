@@ -12,6 +12,9 @@ All output layouts are fixed: graphs go to ``graph_<t>.csv`` (1-based window,
 1-based node pairs, 9 significant digits), run metadata to ``report.json``,
 temporal changes to ``change_profile.csv``, correlation matrices to
 ``graph_corr.csv`` and optionally a P5 ``graph_corr.pgm`` heatmap.
+
+Each mode reads and computes its whole output before the output directory is
+created, so a run that fails a check writes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,6 @@ from .errors import (
     CsvShapeError,
     DataError,
     DivergenceError,
-    InfeasibleBudgetError,
     SingularSystemError,
     UsageError,
 )
@@ -42,9 +44,7 @@ from .graphs import edge_pairs, n_nodes_for_edges
 from .solver import SolverConfig, fit_dynamic, fit_static
 from .synthetic import ScenarioSpec, generate
 
-__all__ = ["RunConfig", "ingest_csv", "emit_results", "run", "main"]
-
-MODES = ("static", "dynamic", "synth", "analyze", "consensus")
+__all__ = ["ingest_csv", "emit_results", "run", "main"]
 
 # The flags and config-file keys are the SolverConfig and ScenarioSpec field
 # names ("--window-len" sets window_len) except these: field -> option name.
@@ -63,8 +63,6 @@ _CLI_ONLY = {
 # Values of unset options that no dataclass default supplies.
 _CLI_DEFAULTS = {"heatmap": False, "prob_threshold": 0.5, "count_threshold": 5,
                  "n_nodes": 20, "k_true": 19}
-
-_CHOICES = {"mode": MODES}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -91,21 +89,6 @@ def _field_options() -> dict:
 # name -> (type, help); the names are the config-file keys and, with "-" for
 # "_", the flags
 _OPTIONS = _CLI_ONLY | _field_options()
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options of one CLI invocation."""
-
-    mode: str
-    input_path: str | None
-    output_dir: str
-    solver: SolverConfig
-    seed: int
-    heatmap: bool
-    scenario: ScenarioSpec | None
-    prob_threshold: float
-    count_threshold: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,37 +168,6 @@ def _kwargs(cls, resolved: dict) -> dict:
     }
 
 
-def _run_config(resolved: dict) -> RunConfig:
-    mode = resolved.get("mode")
-    if mode is None:
-        raise UsageError("--mode is required")
-    _require(resolved, "out")
-
-    solver = None
-    scenario = None
-    if mode in ("static", "dynamic"):
-        _require(resolved, "input", "k")
-        if mode == "dynamic":
-            _require(resolved, "window_len")
-        solver = SolverConfig(**_kwargs(SolverConfig, resolved))
-    elif mode == "synth":
-        scenario = ScenarioSpec(**_kwargs(ScenarioSpec, resolved))
-    else:
-        _require(resolved, "input")
-
-    return RunConfig(
-        mode=mode,
-        input_path=resolved.get("input"),
-        output_dir=resolved["out"],
-        solver=solver,
-        seed=resolved.get("seed", ScenarioSpec.seed),  # fits echo it in report.json
-        heatmap=resolved["heatmap"],
-        scenario=scenario,
-        prob_threshold=resolved["prob_threshold"],
-        count_threshold=resolved["count_threshold"],
-    )
-
-
 def ingest_csv(path) -> np.ndarray:
     """Read a nodes-by-samples numeric CSV into a signal matrix.
 
@@ -266,15 +218,6 @@ def ingest_csv(path) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def _write_graph_csv(path: Path, weights: np.ndarray) -> None:
-    n = n_nodes_for_edges(weights.shape[0])
-    i_idx, j_idx = edge_pairs(n)
-    lines = ["i,j,w"]
-    for e in range(weights.shape[0]):
-        lines.append(f"{i_idx[e] + 1},{j_idx[e] + 1},{weights[e]:.9g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _read_graph_csv(path: Path) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -311,97 +254,112 @@ def _read_graph_csv(path: Path) -> np.ndarray:
     return weights
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, fmt: str = "%.12g") -> None:
-    lines = [",".join(fmt % v for v in row) for row in np.atleast_2d(matrix)]
-    path.write_text("\n".join(lines) + "\n")
+def _edge_csv(header: str, *columns) -> str:
+    """``header``, then one row per edge: its 1-based node pair and ``columns``."""
+    i_idx, j_idx = edge_pairs(n_nodes_for_edges(len(columns[0])))
+    rows = zip(i_idx + 1, j_idx + 1, *columns)
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def _write_pgm(path: Path, corr: np.ndarray) -> None:
+def _matrix_csv(matrix: np.ndarray, fmt: str = "%.12g") -> str:
+    return "\n".join(",".join(fmt % v for v in row) for row in matrix) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _pgm(corr: np.ndarray) -> bytes:
     pixels = np.rint(255.0 * (corr + 1.0) / 2.0).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
+    return header + pixels.tobytes()
 
 
-def emit_results(w_seq, x_windows, report, out_dir, solver_cfg, seed, mode) -> list[Path]:
-    """Write the fixed fit output set; returns the created paths."""
+def _write(out_dir, files: dict) -> list[Path]:
+    """Create ``out_dir`` and write each name -> text or bytes into it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=np.float64))
     written = []
-    for t in range(w_seq.shape[0]):
-        path = out / f"graph_{t + 1}.csv"
-        _write_graph_csv(path, w_seq[t])
+    for name, content in files.items():
+        path = out / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         written.append(path)
+    return written
 
-    profile_path = out / "change_profile.csv"
-    lines = ["t,l1_change"]
-    for t, change in enumerate(report.per_window_change, start=1):
-        lines.append(f"{t},{change:.9g}")
-    profile_path.write_text("\n".join(lines) + "\n")
-    written.append(profile_path)
 
+def _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode) -> dict:
+    w_seq = np.asarray(w_seq, dtype=np.float64)
     x_windows = np.asarray(x_windows, dtype=np.float64)
-    if x_windows.ndim == 2:
-        x_flat = x_windows
-    else:
-        x_flat = x_windows.transpose(1, 0, 2).reshape(x_windows.shape[1], -1)
-    denoised_path = out / "denoised.csv"
-    _write_matrix_csv(denoised_path, x_flat)
-    written.append(denoised_path)
-
-    report_path = out / "report.json"
-    payload = {
+    files = {
+        f"graph_{t}.csv": _edge_csv("i,j,w", [f"{v:.9g}" for v in w])
+        for t, w in enumerate(w_seq, start=1)
+    }
+    files["change_profile.csv"] = "\n".join(
+        ["t,l1_change"]
+        + [f"{t},{change:.9g}" for t, change in enumerate(report.per_window_change, start=1)]
+    ) + "\n"
+    # windows side by side: the denoised record, nodes by samples
+    files["denoised.csv"] = _matrix_csv(
+        x_windows.transpose(1, 0, 2).reshape(x_windows.shape[1], -1)
+    )
+    files["report.json"] = _json({
         "mode": mode,
         "seed": seed,
         "n_windows": int(w_seq.shape[0]),
         "n_nodes": n_nodes_for_edges(w_seq.shape[1]),
         "config": solver_cfg.to_dict(),
         **report.to_dict(),
-    }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(report_path)
-    return written
+    })
+    return files
 
 
-def _cmd_fit(cfg: RunConfig) -> None:
-    y = ingest_csv(cfg.input_path)
-    if cfg.mode == "dynamic":
-        w_seq, x_windows, report = fit_dynamic(y, cfg.solver)
+def emit_results(w_seq, x_windows, report, out_dir, solver_cfg, seed, mode) -> list[Path]:
+    """Write the fixed fit output set; returns the created paths.
+
+    ``w_seq`` is the (b, m) stack of window graphs and ``x_windows`` the
+    (b, n, s) stack of denoised windows, with b = 1 for a static fit.
+    """
+    return _write(out_dir, _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode))
+
+
+def _cmd_fit(opts: dict) -> dict:
+    dynamic = opts["mode"] == "dynamic"
+    _require(opts, "input", "k", *(["window_len"] if dynamic else []))
+    cfg = SolverConfig(**_kwargs(SolverConfig, opts))
+    y = ingest_csv(opts["input"])
+    if dynamic:
+        w_seq, x_windows, report = fit_dynamic(y, cfg)
     else:
-        w, x, report = fit_static(y, cfg.solver)
-        w_seq, x_windows = w[np.newaxis], x
+        w, x, report = fit_static(y, cfg)
+        w_seq, x_windows = w[np.newaxis], x[np.newaxis]
     if report.stop_reason == "max_iter":
         print(
-            f"warning: stopped at max_iter={cfg.solver.max_iter} before the "
+            f"warning: stopped at max_iter={cfg.max_iter} before the "
             f"stopping criteria were met (final residual "
             f"{report.final_residual:.3g})",
             file=sys.stderr,
         )
-    emit_results(
-        w_seq, x_windows, report, cfg.output_dir, cfg.solver, cfg.seed, cfg.mode
-    )
+    # fits echo the seed in report.json
+    seed = opts.get("seed", ScenarioSpec.seed)
+    return _fit_files(w_seq, x_windows, report, cfg, seed, opts["mode"])
 
 
-def _cmd_synth(cfg: RunConfig) -> None:
-    truth = generate(cfg.scenario)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(out / "signals.csv", truth.signals)
-    _write_matrix_csv(out / "clean.csv", truth.clean)
-    for s in range(truth.segments.shape[0]):
-        _write_graph_csv(out / f"truth_graph_{s + 1}.csv", truth.segments[s])
-    spec = cfg.scenario
-    payload = {
+def _cmd_synth(opts: dict) -> dict:
+    spec = ScenarioSpec(**_kwargs(ScenarioSpec, opts))
+    truth = generate(spec)
+    files = {"signals.csv": _matrix_csv(truth.signals), "clean.csv": _matrix_csv(truth.clean)}
+    for s, segment in enumerate(truth.segments, start=1):
+        files[f"truth_graph_{s}.csv"] = _edge_csv("i,j,w", [f"{v:.9g}" for v in segment])
+    files["truth.json"] = _json({
         "scenario": {f.name: getattr(spec, f.name) for f in fields(spec)},
         "boundaries": list(truth.boundaries),
         "n_windows": spec.n_windows,
         "n_samples": spec.n_samples,
-    }
-    with open(out / "truth.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+    return files
 
 
 def _graph_files(directory: Path) -> list[Path]:
@@ -413,7 +371,7 @@ def _graph_files(directory: Path) -> list[Path]:
     return [p for _, p in sorted(files)]
 
 
-def _read_graph_stack(files: list[Path]) -> np.ndarray:
+def _read_graph_stack(files) -> np.ndarray:
     """Stack graph files into one array; they must share one edge count."""
     graphs = [_read_graph_csv(p) for p in files]
     m = graphs[0].shape[0]
@@ -425,75 +383,75 @@ def _read_graph_stack(files: list[Path]) -> np.ndarray:
     return np.stack(graphs)
 
 
-def _cmd_analyze(cfg: RunConfig) -> None:
-    directory = Path(cfg.input_path)
+def _cmd_analyze(opts: dict) -> dict:
+    _require(opts, "input")
+    directory = Path(opts["input"])
     files = _graph_files(directory)
     if len(files) < 2:
         raise DataError(f"{directory}: need at least 2 graph_<t>.csv files")
-    w_seq = _read_graph_stack(files)
-    corr = graph_correlation_matrix(w_seq)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(out / "graph_corr.csv", corr, fmt="%.9g")
-    if cfg.heatmap:
-        _write_pgm(out / "graph_corr.pgm", corr)
+    corr = graph_correlation_matrix(_read_graph_stack(files))
+    out = {"graph_corr.csv": _matrix_csv(corr, fmt="%.9g")}
+    if opts["heatmap"]:
+        out["graph_corr.pgm"] = _pgm(corr)
+    return out
 
 
-def _cmd_consensus(cfg: RunConfig) -> None:
-    root = Path(cfg.input_path)
-    trial_dirs = sorted(d for d in root.iterdir() if d.is_dir() and _graph_files(d))
-    if not trial_dirs:
+def _cmd_consensus(opts: dict) -> dict:
+    _require(opts, "input")
+    root = Path(opts["input"])
+    per_trial = [
+        files for d in sorted(root.iterdir()) if d.is_dir() and (files := _graph_files(d))
+    ]
+    if not per_trial:
         raise DataError(f"{root}: no trial subdirectories with graph_<t>.csv files")
-    per_trial = [_graph_files(d) for d in trial_dirs]
-    n_windows = min(len(files) for files in per_trial)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for t in range(n_windows):
-        graphs = _read_graph_stack([files[t] for files in per_trial])
-        result = consensus_graph(graphs, cfg.prob_threshold, cfg.count_threshold)
-        n = n_nodes_for_edges(graphs.shape[1])
-        i_idx, j_idx = edge_pairs(n)
-        lines = ["i,j,count,kept"]
-        for e in range(graphs.shape[1]):
-            lines.append(
-                f"{i_idx[e] + 1},{j_idx[e] + 1},{result.counts[e]},{result.kept[e]}"
-            )
-        (out / f"consensus_{t + 1}.csv").write_text("\n".join(lines) + "\n")
+    out = {}
+    # window t of every trial, up to the shortest trial
+    for t, window in enumerate(zip(*per_trial), start=1):
+        result = consensus_graph(
+            _read_graph_stack(window), opts["prob_threshold"], opts["count_threshold"]
+        )
+        out[f"consensus_{t}.csv"] = _edge_csv("i,j,count,kept", result.counts, result.kept)
+    return out
+
+
+# mode -> command: each reads its input and returns {file name: text or bytes}
+_COMMANDS = {
+    "static": _cmd_fit,
+    "dynamic": _cmd_fit,
+    "synth": _cmd_synth,
+    "analyze": _cmd_analyze,
+    "consensus": _cmd_consensus,
+}
+
+MODES = tuple(_COMMANDS)
+
+_CHOICES = {"mode": MODES}
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit code (0 ok, 1 usage, 2 data, 3 numeric)."""
     try:
-        resolved = _resolve(argv if argv is not None else sys.argv[1:])
-        cfg = _run_config(resolved)
+        opts = _resolve(argv if argv is not None else sys.argv[1:])
+        if "mode" not in opts:
+            raise UsageError("--mode is required")
+        _require(opts, "out")
+        _write(opts["out"], _COMMANDS[opts["mode"]](opts))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (InfeasibleBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if cfg.mode in ("static", "dynamic"):
-            _cmd_fit(cfg)
-        elif cfg.mode == "synth":
-            _cmd_synth(cfg)
-        elif cfg.mode == "analyze":
-            _cmd_analyze(cfg)
-        else:
-            _cmd_consensus(cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularSystemError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InfeasibleBudgetError, UsageError, ValueError) as exc:
-        # parameter problems surfaced after data was read, e.g. a window
-        # longer than the record or a budget above the edge count
+    except ValueError as exc:
+        # bad parameters (InfeasibleBudgetError is one), including those only
+        # the data reveals, e.g. a window longer than the record or a budget
+        # above the edge count
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -12,6 +12,7 @@ empty.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -103,6 +104,12 @@ class SolverConfig:
     window_len: int | None = None
 
     def __post_init__(self):
+        for name in ("max_iter", "window_len"):
+            value = getattr(self, name)
+            if value is None and name == "window_len":
+                continue  # static fits span the record
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.k_budget) and self.k_budget > 0):
             raise InfeasibleBudgetError(
                 f"k_budget must be positive and finite, got {self.k_budget}"

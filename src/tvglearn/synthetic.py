@@ -8,6 +8,7 @@ scored against a known answer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_nodes", "k_true", "n_segments", "windows_per_segment",
+                     "window_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         if not 0 < self.k_true <= n_edges(self.n_nodes):

@@ -11,7 +11,7 @@ from tvglearn.cli import (
     _RENAMED,
     _build_parser,
     _read_graph_csv,
-    _write_pgm,
+    _pgm,
     emit_results,
     ingest_csv,
     run,
@@ -98,10 +98,8 @@ class TestEmit:
         back = _read_graph_csv(tmp_path / "graph_2.csv")
         np.testing.assert_allclose(back, w[1], rtol=1e-8)
 
-    def test_pgm_identical_sequence_all_white(self, tmp_path):
-        path = tmp_path / "corr.pgm"
-        _write_pgm(path, np.ones((3, 3)))
-        blob = path.read_bytes()
+    def test_pgm_identical_sequence_all_white(self):
+        blob = _pgm(np.ones((3, 3)))
         assert blob.startswith(b"P5\n3 3\n255\n")
         assert blob[-9:] == b"\xff" * 9
 
@@ -126,6 +124,31 @@ FLOAT_FIELDS = [
     if _OPTIONS[_RENAMED.get(f.name, f.name)][0] is float
 ]
 
+# the same for every int field
+INT_FIELDS = [
+    (cls, f.name)
+    for cls in (SolverConfig, ScenarioSpec)
+    for f in fields(cls)
+    if _OPTIONS[_RENAMED.get(f.name, f.name)][0] is int
+]
+
+VALID_KWARGS = {
+    SolverConfig: {"k_budget": 2, "window_len": 8},
+    ScenarioSpec: {"n_nodes": 6, "k_true": 4},
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 8.0, float("nan")])
+@pytest.mark.parametrize(
+    "cls, name", INT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS]
+)
+def test_non_integer_int_field_is_rejected(cls, name, value):
+    valid = VALID_KWARGS[cls]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cls(**{**valid, name: value})
+    # numpy integers are integers
+    cls(**{**valid, name: np.int64(getattr(cls(**valid), name))})
+
 
 class TestRun:
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
@@ -139,6 +162,7 @@ class TestRun:
             args += ["--window-len", "2"]
         assert run(args) == 2
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def _write_signals(self, tmp_path, data=None):
         path = tmp_path / "y.csv"
@@ -173,6 +197,7 @@ class TestRun:
                     "--gamma", "0", "--eta", "1"])
         assert code == 3
         assert "window 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_step_is_numeric_error(self, tmp_path, capsys):
         # a record near 1e153 keeps a finite objective but overflows the
@@ -226,17 +251,23 @@ class TestRun:
     def test_non_finite_or_repeated_graph_row_is_data_error(
         self, tmp_path, capsys, mode, bad_row
     ):
-        good = tmp_path / "in" / "good"
-        self._write_graph(good, 1, 3)
-        self._write_graph(good, 2, 3)
-        bad = tmp_path / "in" / "bad"
-        bad.mkdir()
-        for t in (1, 2):
-            (bad / f"graph_{t}.csv").write_text(f"i,j,w\n1,2,0.5\n{bad_row}\n2,3,0.5\n")
-        directory = tmp_path / "in" if mode == "consensus" else bad
-        assert run(["--mode", mode, "--input", str(directory),
-                    "--out", str(tmp_path / "o"), "--heatmap"]) == 2
-        assert f"{bad / 'graph_1.csv'}: row 3" in capsys.readouterr().err
+        # a bad file in a later window fails the run before anything is
+        # written, as one in the first window does
+        for bad_windows in [(1, 2), (2,)]:
+            root = tmp_path / f"from_window_{bad_windows[0]}"
+            good = root / "in" / "good"
+            bad = root / "in" / "bad"
+            for t in (1, 2):
+                self._write_graph(good, t, 3)
+                self._write_graph(bad, t, 3)
+            for t in bad_windows:
+                (bad / f"graph_{t}.csv").write_text(f"i,j,w\n1,2,0.5\n{bad_row}\n2,3,0.5\n")
+            directory = root / "in" if mode == "consensus" else bad
+            assert run(["--mode", mode, "--input", str(directory),
+                        "--out", str(root / "o"), "--heatmap"]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad / f'graph_{bad_windows[0]}.csv'}: row 3" in err
+            assert not (root / "o").exists()
 
     def test_mismatched_edge_counts_in_consensus_is_data_error(self, tmp_path, capsys):
         trials = tmp_path / "trials"
@@ -446,7 +477,7 @@ class TestRun:
         assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
                     "--out", str(out), "--prob-threshold", threshold]) == 1
         assert "prob_threshold" in capsys.readouterr().err
-        assert not (out / "consensus_1.csv").exists()
+        assert not out.exists()
 
     def test_config_file_with_cli_override(self, tmp_path):
         path = self._write_signals(tmp_path)
