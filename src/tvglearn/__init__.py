@@ -5,98 +5,28 @@ and :func:`fit_static` (one graph for the whole record), both driven by a
 :class:`SolverConfig`.  Supporting modules expose the graph primitives,
 the capped-simplex projection, the proximal operator, a synthetic scenario
 generator with recovery metrics, and cross-trial analysis tools.
+
+The public names are those each module lists in its ``__all__``.
 """
 
-from .analysis import (
-    ConsensusGraph,
-    consensus,
-    graph_correlation_matrix,
-    select_consistent_nodes,
-)
-from .errors import (
-    CsvParseError,
-    CsvShapeError,
-    DataError,
-    DivergenceError,
-    InfeasibleBudgetError,
-    SingularSystemError,
-    TvgLearnError,
-    UsageError,
-)
-from .graphs import (
-    as_signal_matrix,
-    degree_matrix,
-    degrees,
-    edge_pairs,
-    energy_penalty_term,
-    laplacian,
-    n_edges,
-    n_nodes_for_edges,
-    objective,
-    smoothness_term,
-    temporal_variation,
-    weight_matrix,
-    window_signals,
-)
-from .projection import ProjectionResult, is_feasible, project_capped_simplex
-from .proximal import prox_l1_linear, soft_threshold
-from .solver import (
-    FitReport,
-    SolverConfig,
-    SolverState,
-    fit_dynamic,
-    fit_static,
-    grad_w,
-    step,
-    update_x,
-)
-from .synthetic import GroundTruth, ScenarioSpec, change_profile, edge_f1, generate
+from . import analysis, errors, graphs, projection, proximal, solver, synthetic
+from .analysis import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .projection import *  # noqa: F401,F403
+from .proximal import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .synthetic import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsensusGraph",
-    "consensus",
-    "graph_correlation_matrix",
-    "select_consistent_nodes",
-    "CsvParseError",
-    "CsvShapeError",
-    "DataError",
-    "DivergenceError",
-    "InfeasibleBudgetError",
-    "SingularSystemError",
-    "TvgLearnError",
-    "UsageError",
-    "as_signal_matrix",
-    "degree_matrix",
-    "degrees",
-    "edge_pairs",
-    "energy_penalty_term",
-    "laplacian",
-    "n_edges",
-    "n_nodes_for_edges",
-    "objective",
-    "smoothness_term",
-    "temporal_variation",
-    "weight_matrix",
-    "window_signals",
-    "ProjectionResult",
-    "is_feasible",
-    "project_capped_simplex",
-    "prox_l1_linear",
-    "soft_threshold",
-    "FitReport",
-    "SolverConfig",
-    "SolverState",
-    "fit_dynamic",
-    "fit_static",
-    "grad_w",
-    "step",
-    "update_x",
-    "GroundTruth",
-    "ScenarioSpec",
-    "change_profile",
-    "edge_f1",
-    "generate",
+    *analysis.__all__,
+    *errors.__all__,
+    *graphs.__all__,
+    *projection.__all__,
+    *proximal.__all__,
+    *solver.__all__,
+    *synthetic.__all__,
     "__version__",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -113,13 +114,19 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _read_text(path, error) -> str:
+    """The UTF-8 text of ``path``, a leading byte order mark skipped; a file
+    that cannot be read or decoded raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, UsageError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -171,15 +178,13 @@ def _kwargs(cls, resolved: dict) -> dict:
 def ingest_csv(path) -> np.ndarray:
     """Read a nodes-by-samples numeric CSV into a signal matrix.
 
-    An initial header row (any non-numeric token) is skipped.  Ragged rows
-    and non-finite cells raise :class:`CsvParseError` with 1-based
-    coordinates; fewer than 2 node rows raises :class:`CsvShapeError`.
+    The file is UTF-8; a leading byte order mark is skipped, and so is an
+    initial header row (any non-numeric token).  Ragged rows and non-finite
+    cells raise :class:`CsvParseError` with 1-based coordinates; fewer than
+    2 node rows raises :class:`CsvShapeError`.
     """
-    try:
-        with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = io.StringIO(_read_text(path, DataError), newline="")
+    raw = [row for row in csv.reader(lines) if any(c.strip() for c in row)]
 
     start = 0
     if raw:
@@ -219,8 +224,7 @@ def ingest_csv(path) -> np.ndarray:
 
 
 def _read_graph_csv(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path, DataError), newline="")))
     if not rows or rows[0][:3] != ["i", "j", "w"]:
         raise CsvParseError(f"{path}: expected an i,j,w graph file")
     entries = []

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TvgLearnError",
+    "DataError",
+    "CsvParseError",
+    "CsvShapeError",
+    "InfeasibleBudgetError",
+    "SingularSystemError",
+    "DivergenceError",
+    "UsageError",
+]
+
 
 class TvgLearnError(Exception):
     """Base class for every error raised by this package."""

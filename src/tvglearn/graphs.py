@@ -105,11 +105,7 @@ def weight_matrix(weights) -> np.ndarray:
 
 def degrees(weights) -> np.ndarray:
     """Per-node degree vector d_i = sum_j w_ij."""
-    w, n = _as_edge_vector(weights)
-    i_idx, j_idx = edge_pairs(n)
-    return np.bincount(i_idx, weights=w, minlength=n) + np.bincount(
-        j_idx, weights=w, minlength=n
-    )
+    return weight_matrix(weights).sum(axis=1)
 
 
 def degree_matrix(weights) -> np.ndarray:
@@ -120,9 +116,7 @@ def degree_matrix(weights) -> np.ndarray:
 def laplacian(weights) -> np.ndarray:
     """Combinatorial Laplacian L = D - W of an edge vector."""
     mat = weight_matrix(weights)
-    lap = -mat
-    np.fill_diagonal(lap, mat.sum(axis=1))
-    return lap
+    return np.diag(mat.sum(axis=1)) - mat
 
 
 def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray]:

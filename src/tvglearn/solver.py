@@ -195,16 +195,11 @@ class FitReport:
         return "tolerance" if self.converged else "max_iter"
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "iterations": self.iterations,
-            "final_objective": self.final_objective,
-            "final_residual": self.final_residual,
-            "per_window_change": list(self.per_window_change),
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-        }
+        """Field values by name plus ``stop_reason``, as JSON-ready values."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_window_change"] = list(self.per_window_change)
+        out["stop_reason"] = self.stop_reason
+        return out
 
 
 def update_x(y_block, weights, gamma: float, eta: float, window: int | None = None):

@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 from dataclasses import fields
@@ -113,6 +114,60 @@ MALFORMED_CSVS = {
     "nan": "1,2,3\n4,nan,6\n",
     "overflow": "1,2,3\n4,1e999,6\n",
 }
+
+
+# Each input file kind: a writer of its file and the run that reads it, and
+# the exit code of a file that is not UTF-8.  The writer encodes the file's
+# text with ``encode`` and returns (path, arguments without --out).
+def _signal_input(root, encode):
+    path = root / "y.csv"
+    path.write_bytes(encode("1,2,3,4\n2,1,0,3\n0,1,1,2\n"))
+    return path, ["--mode", "static", "--input", str(path), "--k", "1"]
+
+
+def _graph_input(root, encode):
+    fit = root / "fit"
+    fit.mkdir()
+    (fit / "graph_1.csv").write_text("i,j,w\n1,2,0.5\n1,3,0\n2,3,1\n")
+    path = fit / "graph_2.csv"
+    path.write_bytes(encode("i,j,w\n1,2,1\n1,3,0.5\n2,3,0\n"))
+    return path, ["--mode", "analyze", "--input", str(fit)]
+
+
+def _config_input(root, encode):
+    path = root / "run.cfg"
+    path.write_bytes(encode(
+        "n_nodes=4\nk_true=2\nn_segments=1\nwindows_per_segment=2\nwindow_len=5\n"
+    ))
+    return path, ["--mode", "synth", "--config", str(path)]
+
+
+INPUT_FILES = {
+    "signals": (_signal_input, 2),
+    "graph": (_graph_input, 2),
+    "config": (_config_input, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+class TestInputEncoding:
+    def test_byte_order_mark_is_skipped(self, tmp_path, kind):
+        write, _ = INPUT_FILES[kind]
+        outputs = []
+        for name, prefix in [("plain", b""), ("bom", codecs.BOM_UTF8)]:
+            root = tmp_path / name
+            root.mkdir()
+            _, args = write(root, lambda text: prefix + text.encode())
+            assert run(args + ["--out", str(root / "o")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (root / "o").iterdir()})
+        assert outputs[0] == outputs[1]
+
+    def test_undecodable_byte_names_the_file(self, tmp_path, capsys, kind):
+        write, code = INPUT_FILES[kind]
+        path, args = write(tmp_path, lambda text: text.encode().replace(b"\n", b"\n\xff", 1))
+        assert run(args + ["--out", str(tmp_path / "o")]) == code
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # (class, field, option) of every float field the CLI sets, read through the

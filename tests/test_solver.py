@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -419,6 +419,10 @@ class TestFits:
         assert (report.converged, report.iterations) == (False, 3)
         assert report.stop_reason == "max_iter"
         assert report.to_dict()["stop_reason"] == "max_iter"
+        # report keys come from the fields, plus the derived stop_reason
+        as_dict = report.to_dict()
+        assert set(as_dict) == {f.name for f in fields(FitReport)} | {"stop_reason"}
+        assert as_dict["per_window_change"] == list(report.per_window_change)
         _, _, report = fit_static(y, SolverConfig(k_budget=2.0, gamma=0.05))
         assert report.converged and report.iterations < 5000
         assert report.stop_reason == "tolerance"
