@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -30,14 +29,24 @@ class ConsensusGraph:
     count_threshold: int
 
 
-def _pearson(u, v) -> float:
-    du = u - u.mean()
-    dv = v - v.mean()
-    # sqrt of the product keeps r == 1.0 exact for identical inputs
-    denom = float(np.sqrt((du @ du) * (dv @ dv)))
-    if denom == 0.0:
-        return np.nan
-    return float(du @ dv) / denom
+def _row_correlations(x, flat_warning: str) -> np.ndarray:
+    """Pearson r between every two rows of ``x``, shape (..., rows, samples),
+    as (..., rows, rows) matrices.
+
+    r = sum(a*b) / sqrt(sum(a*a) * sum(b*b)) over the centred rows, so
+    identical rows give exactly 1.0.  Where that product is 0 (a flat row)
+    r is 0, with ``flat_warning``.  Non-finite input raises ValueError.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite value in the input")
+    centred = x - x.mean(axis=-1, keepdims=True)
+    cross = centred @ np.swapaxes(centred, -1, -2)
+    sq = np.diagonal(cross, axis1=-2, axis2=-1)
+    denom = np.sqrt(sq[..., :, np.newaxis] * sq[..., np.newaxis, :])
+    flat = denom == 0.0
+    if flat.any():
+        warnings.warn(flat_warning, stacklevel=3)
+    return np.divide(cross, denom, out=np.zeros_like(cross), where=~flat)
 
 
 def select_consistent_nodes(trials, top_k: int) -> list[int]:
@@ -51,7 +60,8 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
         the lower node index.
 
     A node with zero variance in some trial contributes correlation 0 for
-    the pairs involving that trial (with a warning).
+    the pairs involving that trial (with a warning).  A non-finite sample
+    raises ValueError.
     """
     mats = [np.asarray(t, dtype=np.float64) for t in trials]
     if len(mats) < 2:
@@ -63,23 +73,13 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
     if not 0 < top_k <= n:
         raise ValueError(f"top_k={top_k} outside (0, {n}]")
 
-    saw_degenerate = False
-    means = np.empty(n)
-    pairs = list(combinations(range(len(mats)), 2))
-    for node in range(n):
-        acc = 0.0
-        for a, b in pairs:
-            r = _pearson(mats[a][node], mats[b][node])
-            if np.isnan(r):
-                saw_degenerate = True
-                r = 0.0
-            acc += r
-        means[node] = acc / len(pairs)
-    if saw_degenerate:
-        warnings.warn(
-            "zero-variance node signal; its pair correlations count as 0",
-            stacklevel=2,
-        )
+    # (n, T, T): per node, r between its signals in every two trials
+    r = _row_correlations(
+        np.stack(mats, axis=1),
+        "zero-variance node signal; its pair correlations count as 0",
+    )
+    a, b = np.triu_indices(len(mats), k=1)
+    means = r[:, a, b].mean(axis=1)
     order = np.argsort(-means, kind="stable")
     return [int(i) for i in order[:top_k]]
 
@@ -111,24 +111,15 @@ def graph_correlation_matrix(w_seq) -> np.ndarray:
 
     Returns a symmetric (n_windows, n_windows) matrix with unit diagonal and
     entries in [-1, 1].  A window whose edge vector has zero variance gets 0
-    in its off-diagonal entries, with a warning.
+    in its off-diagonal entries, with a warning.  A non-finite weight raises
+    ValueError.
     """
     w_seq = np.asarray(w_seq, dtype=np.float64)
     if w_seq.ndim != 2 or w_seq.shape[0] < 2:
         raise ValueError("need a (n_windows >= 2, n_edges) graph sequence")
 
-    centered = w_seq - w_seq.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("te,te->t", centered, centered))
-    degenerate = norms == 0.0
-    if degenerate.any():
-        warnings.warn(
-            "graph with zero edge-weight variance; its correlations are set to 0",
-            stacklevel=2,
-        )
-    safe = np.where(degenerate, 1.0, norms)
-    corr = (centered @ centered.T) / np.outer(safe, safe)
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    corr = np.clip(_row_correlations(
+        w_seq, "graph with zero edge-weight variance; its correlations are set to 0"
+    ), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -110,7 +111,8 @@ def _build_parser() -> _Parser:
         if typ is bool:
             p.add_argument(flag, action="store_true", help=help_)
         else:
-            p.add_argument(flag, type=typ, choices=_CHOICES.get(name), help=help_)
+            p.add_argument(flag, type=typ, choices=MODES if name == "mode" else None,
+                           help=help_)
     return p
 
 
@@ -125,6 +127,8 @@ def _read_text(path, error) -> str:
 
 
 def _parse_config_file(path: str) -> dict:
+    """The options in the ``key=value`` file at ``path``, parsed as ``--key=value``."""
+    parser = _build_parser()
     values = {}
     for lineno, line in enumerate(_read_text(path, UsageError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -137,15 +141,15 @@ def _parse_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        typ, _ = _OPTIONS[key]
         try:
-            values[key] = _BOOLS[value.lower()] if typ is bool else typ(value)
-        except (KeyError, ValueError) as exc:
+            if _OPTIONS[key][0] is bool:  # a switch flag takes no value
+                values[key] = _BOOLS[value.lower()]
+            else:
+                values |= vars(parser.parse_args([f"--{key.replace('_', '-')}={value}"]))
+        except KeyError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise UsageError(
-                f"{path}:{lineno}: {key} must be one of {', '.join(_CHOICES[key])}"
-            )
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -175,48 +179,53 @@ def _kwargs(cls, resolved: dict) -> dict:
     }
 
 
+def _rows(path):
+    """(1-based file line, cells) of each non-blank row of the CSV at ``path``."""
+    reader = csv.reader(io.StringIO(_read_text(path, DataError), newline=""))
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            yield reader.line_num, row
+
+
+def _cell(path, line: int, column: int, token: str, typ):
+    """``token`` as ``typ``; CsvParseError names a cell that fails or is not finite."""
+    where = f"{path}: row {line}, column {column}"
+    try:
+        value = typ(token)
+    except ValueError as exc:
+        raise CsvParseError(f"{where}: cannot parse {token.strip()!r}") from exc
+    if not math.isfinite(value):
+        raise CsvParseError(f"{where}: non-finite value {token.strip()!r}")
+    return value
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_csv(path) -> np.ndarray:
     """Read a nodes-by-samples numeric CSV into a signal matrix.
 
-    The file is UTF-8; a leading byte order mark is skipped, and so is an
-    initial header row (any non-numeric token).  Ragged rows and non-finite
-    cells raise :class:`CsvParseError` with 1-based coordinates; fewer than
-    2 node rows raises :class:`CsvShapeError`.
+    The file is UTF-8; a leading byte order mark and blank lines are skipped.
+    The first row is a header, and skipped, only when none of its tokens is
+    a number, so a typo in the first node row is an error, not a header.
+    Ragged rows, cells that do not parse and non-finite cells raise
+    :class:`CsvParseError` naming the 1-based file line and column; fewer
+    than 2 node rows raises :class:`CsvShapeError`.
     """
-    lines = io.StringIO(_read_text(path, DataError), newline="")
-    raw = [row for row in csv.reader(lines) if any(c.strip() for c in row)]
-
-    start = 0
-    if raw:
-        try:
-            [float(tok) for tok in raw[0]]
-        except ValueError:
-            start = 1
-
+    rows = list(_rows(path))
+    if rows and not any(map(_is_number, rows[0][1])):
+        del rows[0]
+    width = len(rows[0][1]) if rows else 0
     data = []
-    width = None
-    for file_row, row in enumerate(raw[start:], start=start + 1):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise CsvParseError(
-                f"{path}: row {file_row} has {len(row)} values, expected {width}"
-            )
-        values = []
-        for col, tok in enumerate(row, start=1):
-            try:
-                v = float(tok)
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"{path}: row {file_row}, column {col}: cannot parse {tok.strip()!r}"
-                ) from exc
-            if not math.isfinite(v):
-                raise CsvParseError(
-                    f"{path}: row {file_row}, column {col}: non-finite value "
-                    f"{tok.strip()!r}"
-                )
-            values.append(v)
-        data.append(values)
+    for line, row in rows:
+        if len(row) != width:
+            raise CsvParseError(f"{path}: row {line} has {len(row)} values, expected {width}")
+        data.append([_cell(path, line, c, tok, float) for c, tok in enumerate(row, start=1)])
 
     if len(data) < 2:
         raise CsvShapeError(f"{path}: need at least 2 node rows, got {len(data)}")
@@ -224,20 +233,16 @@ def ingest_csv(path) -> np.ndarray:
 
 
 def _read_graph_csv(path: Path) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(_read_text(path, DataError), newline="")))
-    if not rows or rows[0][:3] != ["i", "j", "w"]:
+    rows = list(_rows(path))
+    if not rows or rows[0][1][:3] != ["i", "j", "w"]:
         raise CsvParseError(f"{path}: expected an i,j,w graph file")
     entries = []
-    for file_row, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != 3:
-            raise CsvParseError(f"{path}: row {file_row} is not i,j,w")
-        try:
-            i, j, w = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise CsvParseError(f"{path}: row {file_row}: {exc}") from exc
-        if not math.isfinite(w):
-            raise CsvParseError(f"{path}: row {file_row}: non-finite weight {row[2]!r}")
-        entries.append((file_row, i, j, w))
+            raise CsvParseError(f"{path}: row {line} is not i,j,w")
+        i, j, w = (_cell(path, line, col, tok, typ)
+                   for col, tok, typ in zip((1, 2, 3), row, (int, int, float)))
+        entries.append((line, i, j, w))
     try:
         n = n_nodes_for_edges(len(entries))
     except ValueError as exc:
@@ -340,11 +345,10 @@ def _cmd_fit(opts: dict) -> dict:
         w, x, report = fit_static(y, cfg)
         w_seq, x_windows = w[np.newaxis], x[np.newaxis]
     if report.stop_reason == "max_iter":
-        print(
-            f"warning: stopped at max_iter={cfg.max_iter} before the "
+        warnings.warn(
+            f"stopped at max_iter={cfg.max_iter} before the "
             f"stopping criteria were met (final residual "
-            f"{report.final_residual:.3g})",
-            file=sys.stderr,
+            f"{report.final_residual:.3g})"
         )
     # fits echo the seed in report.json
     seed = opts.get("seed", ScenarioSpec.seed)
@@ -429,17 +433,28 @@ _COMMANDS = {
 
 MODES = tuple(_COMMANDS)
 
-_CHOICES = {"mode": MODES}
+
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def run(argv=None) -> int:
-    """Entry point returning the exit code (0 ok, 1 usage, 2 data, 3 numeric)."""
+    """Entry point returning the exit code (0 ok, 1 usage, 2 data, 3 numeric).
+
+    Each warning raised while the mode computes is printed to stderr as
+    ``warning: <message>`` when it is raised, so before any error message.
+    """
     try:
         opts = _resolve(argv if argv is not None else sys.argv[1:])
         if "mode" not in opts:
             raise UsageError("--mode is required")
         _require(opts, "out")
-        _write(opts["out"], _COMMANDS[opts["mode"]](opts))
+        with warnings.catch_warnings():
+            # shown once per place, whatever filters the caller had set
+            warnings.simplefilter("default")
+            warnings.showwarning = _print_warning
+            files = _COMMANDS[opts["mode"]](opts)
+        _write(opts["out"], files)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)

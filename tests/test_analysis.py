@@ -52,6 +52,24 @@ class TestSelectConsistentNodes:
             order = select_consistent_nodes([a, b], top_k=3)
         assert set(order) == {0, 1, 2}
 
+    def test_flat_pairs_count_as_zero_in_the_mean(self):
+        rng = np.random.default_rng(10)
+        base = rng.normal(size=(5, 12))
+        noise = np.array([[2.0], [1.0], [0.5], [0.2], [0.1]])
+        trials = [base + noise * rng.normal(size=(5, 12)) for _ in range(3)]
+        trials[1][4] = 2.0  # the least noisy node is flat in trial 1
+        with pytest.warns(UserWarning, match="zero-variance"):
+            order = select_consistent_nodes(trials, top_k=5)
+
+        means = [
+            np.mean([
+                np.nan_to_num(oracles.pearson(trials[a][node], trials[b][node]))
+                for a, b in combinations(range(3), 2)
+            ])
+            for node in range(5)
+        ]
+        assert order == [int(i) for i in np.argsort(-np.asarray(means), kind="stable")]
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         trials = [rng.normal(size=(6, 15)) for _ in range(2)]
@@ -166,3 +184,16 @@ def test_no_warning_on_clean_input():
         warnings.simplefilter("error")
         graph_correlation_matrix(rng.uniform(size=(3, 10)))
         select_consistent_nodes([rng.normal(size=(3, 8)) for _ in range(2)], top_k=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    rng = np.random.default_rng(9)
+    trials = [rng.normal(size=(3, 8)) for _ in range(2)]
+    trials[1][2, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        select_consistent_nodes(trials, top_k=2)
+    seq = rng.uniform(size=(3, 10))
+    seq[1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        graph_correlation_matrix(seq)

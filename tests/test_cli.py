@@ -64,6 +64,27 @@ class TestIngestCsv:
         with pytest.raises(CsvShapeError):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        # a typo in the first node row: not a header, since 1 and 2 are numbers
+        ("1,2,3x\n4,5,6\n7,8,9\n", "row 1, column 3"),
+        # blank lines count in the file line
+        ("1,2,3\n\n\n4,x,6\n7,8,9\n", "row 4, column 2"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, text, where):
+        path = tmp_path / "y.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=where):
+            ingest_csv(path)
+
+
+def test_graph_file_skips_blank_lines_and_names_file_lines(tmp_path):
+    path = tmp_path / "graph_1.csv"
+    path.write_text("i,j,w\n\n1,2,0.5\n1,3,0\n\n2,3,1\n")
+    np.testing.assert_array_equal(_read_graph_csv(path), [0.5, 0.0, 1.0])
+    path.write_text("i,j,w\n\n1,2,0.5\n1,3,x\n2,3,1\n")
+    with pytest.raises(CsvParseError, match="row 4, column 3"):
+        _read_graph_csv(path)
+
 
 class TestEmit:
     def _report(self, changes=()):
@@ -113,6 +134,7 @@ MALFORMED_CSVS = {
     "semicolons": "1;2;3\n4;5;6\n7;8;9\n",
     "nan": "1,2,3\n4,nan,6\n",
     "overflow": "1,2,3\n4,1e999,6\n",
+    "first-row-typo": "1,2,3x\n4,5,6\n7,8,9\n",
 }
 
 
@@ -253,6 +275,17 @@ class TestRun:
         assert code == 3
         assert "window 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_warnings_print_as_warning_lines_before_the_error(self, tmp_path, capsys):
+        # the eta bound warns, then the singular system fails the fit
+        path = self._write_signals(tmp_path, np.ones((2, 6)))
+        assert run(["--mode", "static", "--input", str(path),
+                    "--out", str(tmp_path / "o"), "--k", "1",
+                    "--gamma", "0", "--eta", "1"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("warning: eta=1.0 violates the sufficient bound")
+        assert lines[1].startswith("error: ")
+        assert len(lines) == 2
 
     def test_overflowing_step_is_numeric_error(self, tmp_path, capsys):
         # a record near 1e153 keeps a finite objective but overflows the
@@ -550,6 +583,22 @@ class TestRun:
         assert report["config"]["k_budget"] == 2.0  # from file
         assert report["config"]["max_iter"] == 30
         assert report["config"]["lambda"] == 0.5
+
+    def test_config_value_with_a_leading_minus(self, tmp_path):
+        # the key=value form keeps the sign that "--prob-threshold -5e-1"
+        # would lose to argparse
+        cfg = SolverConfig(k_budget=1.0, window_len=4)
+        report = FitReport(True, 1, 0.0, 0.0, ())
+        emit_results(np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report,
+                     tmp_path / "trials" / "t0", cfg, seed=0, mode="dynamic")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("prob_threshold=-5e-1\ncount_threshold=0\n")
+        out = tmp_path / "consensus"
+        assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
+                    "--out", str(out), "--config", str(cfg_file)]) == 0
+        # every weight is at least -0.5, so every edge is kept
+        assert (out / "consensus_1.csv").read_text().splitlines()[1:] == \
+            ["1,2,1,1", "1,3,1,1", "2,3,1,1"]
 
     @pytest.mark.parametrize("line", ["heatmap=ture", "mode=bogus"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
