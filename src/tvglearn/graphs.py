@@ -12,6 +12,7 @@ is a 3-D array of shape (n_windows, n_nodes, window_len).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -72,6 +73,8 @@ def window_signals(y, window_len: int) -> np.ndarray:
     Trailing samples that do not fill a window are dropped.
     """
     y = as_signal_matrix(y)
+    if not isinstance(window_len, numbers.Integral):
+        raise ValueError(f"window_len must be an integer, got {window_len!r}")
     if window_len < 1:
         raise ValueError("window_len must be positive")
     n, t = y.shape
@@ -119,15 +122,21 @@ def laplacian(weights) -> np.ndarray:
     return np.diag(mat.sum(axis=1)) - mat
 
 
-def _check_block(weights, x) -> tuple[np.ndarray, np.ndarray]:
-    w, n = _as_edge_vector(weights)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != n:
+def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
+    w_seq = np.asarray(w_seq, dtype=np.float64)
+    x_windows = np.asarray(x_windows, dtype=np.float64)
+    if w_seq.ndim != 2:
+        raise ValueError("graph sequence must be a (n_windows, n_edges) array")
+    if x_windows.ndim != 3 or x_windows.shape[0] != w_seq.shape[0]:
+        raise ValueError("window count mismatch between signals and graphs")
+    n = n_nodes_for_edges(w_seq.shape[1])
+    if x_windows.shape[1] != n:
         raise ValueError(
-            f"signal block with {x.shape[0] if x.ndim == 2 else '?'} rows does "
-            f"not match a graph on {n} nodes"
+            f"signal blocks with {x_windows.shape[1]} rows do not match "
+            f"graphs on {n} nodes"
         )
-    return w, x
+    return w_seq, x_windows
 
 
 def _sq_dist_stack(x_windows) -> np.ndarray:
@@ -138,33 +147,43 @@ def _sq_dist_stack(x_windows) -> np.ndarray:
     return out
 
 
-def _energy_sum(x_windows, w_seq, buf) -> float:
-    """sum_t tr(x_t^T D(W_t) x_t) over a (b, n, s) stack, via the (b, m) ``buf``."""
+def _edge_energy_stack(x_windows) -> np.ndarray:
+    """The (b, m) row energies ||x_i||^2 + ||x_j||^2 of each edge (i, j) of a
+    (b, n, s) stack; sum_i d_i ||x_i||^2 is their sum weighted by W."""
     row_energy = np.einsum("bns,bns->bn", x_windows, x_windows)
-    energy = 0.0
-    # sum_i d_i ||x_i||^2 = sum_(i,j) w_ij (||x_i||^2 + ||x_j||^2)
-    for idx in _kernels.triu_pairs(x_windows.shape[1]):
-        # the indices are in range; "clip" lets take write straight into
-        # out, where the default mode buffers a copy first
-        np.take(row_energy, idx, axis=1, out=buf, mode="clip")
-        energy += float(np.einsum("bm,bm->", w_seq, buf))
-    return energy
+    i_idx, j_idx = _kernels.triu_pairs(x_windows.shape[1])
+    # the indices are in range, so "clip" only skips the default mode's bounds
+    # pass; the j ends go in window by window so no second (b, m) stack is held
+    out = np.take(row_energy, i_idx, axis=1, mode="clip")
+    for t, energy in enumerate(row_energy):
+        out[t] += np.take(energy, j_idx, mode="clip")
+    return out
+
+
+# Each term is one einsum over its (b, m) stack, not a BLAS dot: a zero
+# weight on an infinite distance or energy gives NaN without a
+# floating-point warning.
+def _smoothness(w_seq, x_windows) -> float:
+    return float(np.einsum("bm,bm->", w_seq, _sq_dist_stack(x_windows)))
+
+
+def _energy(w_seq, x_windows) -> float:
+    return float(np.einsum("bm,bm->", w_seq, _edge_energy_stack(x_windows)))
 
 
 def smoothness_term(weights, x) -> float:
     """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2 = tr(x^T L(W) x),
-    from the distances that the solver's gradient and objective use."""
-    w, x = _check_block(weights, x)
-    return float(w @ _sq_dist_stack(x[np.newaxis])[0])
+    computed as the objective computes it for one window."""
+    return _smoothness(*_check_stacks([weights], [x]))
 
 
 def energy_penalty_term(weights, x) -> float:
-    """Degree-weighted signal energy sum_i d_i ||x_i||^2 = tr(x^T D(W) x).
+    """Degree-weighted signal energy sum_i d_i ||x_i||^2 = tr(x^T D(W) x),
+    computed as the objective computes it for one window.
 
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
-    w, x = _check_block(weights, x)
-    return _energy_sum(x[np.newaxis], w[np.newaxis], np.empty((1, w.shape[0])))
+    return _energy(*_check_stacks([weights], [x]))
 
 
 def temporal_variation(w_seq) -> np.ndarray:
@@ -172,7 +191,8 @@ def temporal_variation(w_seq) -> np.ndarray:
     w_seq = np.asarray(w_seq, dtype=np.float64)
     if w_seq.ndim != 2:
         raise ValueError("graph sequence must be a (n_windows, n_edges) array")
-    return np.abs(np.diff(w_seq, axis=0)).sum(axis=1)
+    change = np.subtract(w_seq[1:], w_seq[:-1])  # empty for one window
+    return np.abs(change, out=change).sum(axis=1)
 
 
 def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
@@ -181,36 +201,20 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     sum_t [ ||Y_t - X_t||_F^2 + gamma * smoothness - eta * energy ]
     plus alpha * sum_t ||W_t - W_{t+1}||_1.
     """
+    w_seq, x_windows = _check_stacks(np.atleast_2d(w_seq), x_windows)
     y_windows = np.asarray(y_windows, dtype=np.float64)
-    x_windows = np.asarray(x_windows, dtype=np.float64)
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=np.float64))
     if y_windows.shape != x_windows.shape:
         raise ValueError("Y and X window stacks must share a shape")
-    if y_windows.ndim != 3 or y_windows.shape[0] != w_seq.shape[0]:
-        raise ValueError("window count mismatch between signals and graphs")
-    if w_seq.ndim != 2:
-        raise ValueError("graph sequence must be a (n_windows, n_edges) array")
-    n = n_nodes_for_edges(w_seq.shape[1])
-    if y_windows.shape[1] != n:
-        raise ValueError(
-            f"signal blocks with {y_windows.shape[1]} rows do not match "
-            f"graphs on {n} nodes"
-        )
 
-    # One (b, m) buffer holds the distances, then each end's row energies,
-    # then the window-to-window changes; the residual goes through one
-    # window-sized buffer.  einsum, not a BLAS dot: a zero weight on an
-    # infinite distance or energy must give NaN without a floating-point
-    # warning.
-    buf = _sq_dist_stack(x_windows)
-    smooth = float(np.einsum("bm,bm->", w_seq, buf))
+    # each term's (b, m) stack is freed before the next is made, and before
+    # the window-sized residual buffer, to keep the peak memory low
+    smooth = _smoothness(w_seq, x_windows)
+    energy = _energy(w_seq, x_windows)
+    change = float(temporal_variation(w_seq).sum())
     resid = np.empty_like(y_windows[0])
     fit = 0.0
     for t in range(w_seq.shape[0]):
         np.subtract(y_windows[t], x_windows[t], out=resid)
         fit += float(np.einsum("ns,ns->", resid, resid))
-    energy = _energy_sum(x_windows, w_seq, buf)
     # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
-    total = fit + gamma * smooth - eta * energy
-    change = np.subtract(w_seq[1:], w_seq[:-1], out=buf[1:])  # empty for one window
-    return total + alpha * float(np.abs(change, out=change).sum())
+    return fit + gamma * smooth - eta * energy + alpha * change

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["soft_threshold", "prox_l1_linear"]
@@ -13,8 +15,8 @@ def soft_threshold(a, s):
     Evaluated as a minus its clip to [-s, s]: the same values up to the sign
     of zeros, in three array passes.
     """
-    if s < 0:
-        raise ValueError(f"threshold must be non-negative, got {s}")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"threshold s must be non-negative and finite, got {s}")
     a = np.asarray(a, dtype=np.float64)
     return a - np.minimum(np.maximum(a, -s), s)
 
@@ -29,10 +31,10 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
 
     Exact in closed form; no inner iteration.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
     v = np.asarray(v, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != v.shape:

@@ -14,16 +14,16 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
 from .graphs import (
+    _edge_energy_stack,
     _sq_dist_stack,
     as_signal_matrix,
-    edge_pairs,
     n_edges,
     objective,
     temporal_variation,
@@ -166,7 +166,7 @@ class SolverState:
     z: np.ndarray  # (b-1, m) splitting variables
     beta: np.ndarray  # (b-1, m) dual variables
     iteration: int = 0
-    obj_history: list = field(default_factory=list)
+    objective: float = math.nan  # at the current iterate; NaN until evaluated
     residual: float = 0.0  # max |Z - W_t + W_{t+1}|; 0 at the start (Z = 0, W_t equal)
     kappa: np.ndarray | None = None  # (b,) last projection shifts, or None
     steps: tuple | None = None  # (tau1, tau2) in use; the first step sets it
@@ -208,8 +208,11 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     Solves (I + gamma*L(W) - eta*D(W)) X = Y with the Cholesky factor
     A = C C^T as X = (C^-T C^-1) Y: the small (n, n) inverse is formed first,
     so the (n, s) signals go through one product.  The system matrix must be
-    positive definite.  Raises ValueError on non-finite weights or signals.
+    positive definite.  Raises ValueError on a non-finite gamma, eta, weight
+    or signal.
     """
+    if not (math.isfinite(gamma) and math.isfinite(eta)):
+        raise ValueError(f"gamma and eta must be finite, got {gamma} and {eta}")
     y_block = np.asarray(y_block, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if not (np.isfinite(w).all() and np.isfinite(y_block).all()):
@@ -243,9 +246,7 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
     grad = _sq_dist_stack(x)
     grad *= cfg.gamma
     if cfg.eta != 0.0:
-        i_idx, j_idx = edge_pairs(x.shape[1])
-        row_energy = np.einsum("bns,bns->bn", x, x)
-        grad -= cfg.eta * (row_energy[:, i_idx] + row_energy[:, j_idx])
+        grad -= cfg.eta * _edge_energy_stack(x)
     grad[:-1] -= beta
     grad[1:] += beta
     return grad
@@ -305,61 +306,57 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     residual = float(np.abs(gap, out=gap).max(initial=0.0))
     del gap  # spent; held through the objective it raises the step's peak memory
 
-    obj = objective(
-        y_windows, x_new, w_new, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
-    )
-    if not np.isfinite(obj):
-        raise DivergenceError(
-            f"objective became non-finite at iteration "
-            f"{state.iteration + 1} with tau1={tau1:.3g}; rescale the input "
-            f"or set a smaller tau1"
-        )
-
     return SolverState(
         x=x_new,
         w=w_new,
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
-        obj_history=state.obj_history + [obj],
+        objective=_finite_objective(
+            y_windows, x_new, w_new, cfg, state.iteration + 1, tau1
+        ),
         residual=residual,
         kappa=kappa,
         steps=(tau1, tau2),
     )
 
 
+def _finite_objective(
+    y_windows, x_windows, w_seq, cfg: SolverConfig, iteration: int, tau1=None
+) -> float:
+    """The objective at the iterate ``iteration`` (0 for the starting point),
+    which step ``tau1`` produced; DivergenceError if it is not finite."""
+    obj = objective(
+        y_windows, x_windows, w_seq, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
+    )
+    if not math.isfinite(obj):
+        raise DivergenceError(
+            "objective is non-finite at initialization; rescale the input"
+            if iteration == 0
+            else f"objective became non-finite at iteration {iteration} with "
+            f"tau1={tau1:.3g}; rescale the input or set a smaller tau1"
+        )
+    return obj
+
+
 def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     b, n, _ = y_windows.shape
     m = n_edges(n)
+    x0 = y_windows.copy()
     w0 = np.full((b, m), cfg.k_budget / m)
-    state = SolverState(
-        x=y_windows.copy(),
-        w=w0,
-        z=np.zeros((b - 1, m)),
-        beta=np.zeros((b - 1, m)),
-    )
     # the squared distances and energies of a record past about 1e154
     # overflow: the non-finite objective reports that as one typed error,
     # without a floating-point warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        obj0 = objective(
-            y_windows, state.x, state.w, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
-        )
-    if not np.isfinite(obj0):
-        raise DivergenceError(
-            "objective is non-finite at initialization; rescale the input"
-        )
-    state.obj_history.append(obj0)
-    return state
+        obj0 = _finite_objective(y_windows, x0, w0, cfg, 0)
+    return SolverState(
+        x=x0, w=w0, z=np.zeros((b - 1, m)), beta=np.zeros((b - 1, m)), objective=obj0
+    )
 
 
-def _converged(state: SolverState, cfg: SolverConfig) -> bool:
-    hist = state.obj_history
-    if len(hist) < 2:
-        return False
-    obj_change = abs(hist[-1] - hist[-2])
+def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
     return (
-        obj_change <= cfg.tol_obj * max(1.0, abs(hist[-2]))
+        abs(state.objective - previous) <= cfg.tol_obj * max(1.0, abs(previous))
         and state.residual <= cfg.tol_residual
     )
 
@@ -368,8 +365,9 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
     state = _initial_state(y_windows, cfg)
     converged = False
     while state.iteration < cfg.max_iter:
+        previous = state.objective
         state = step(state, y_windows, cfg)
-        if _converged(state, cfg):
+        if _converged(state, previous, cfg):
             converged = True
             break
     for t, w in enumerate(state.w):
@@ -386,7 +384,7 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
     report = FitReport(
         converged=converged,
         iterations=state.iteration,
-        final_objective=state.obj_history[-1],
+        final_objective=state.objective,
         final_residual=state.residual,
         per_window_change=tuple(float(c) for c in changes),
         tau1=state.steps[0],

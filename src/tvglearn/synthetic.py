@@ -151,6 +151,8 @@ def edge_f1(estimated, truth, k: int) -> float:
         raise ValueError("estimate and truth must have the same edge count")
     if not np.all((truth == 0.0) | (truth == 1.0)):
         raise ValueError("truth must be a 0/1 edge vector")
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 0 < k <= estimated.shape[0]:
         raise ValueError(f"k={k} outside (0, {estimated.shape[0]}]")
 

@@ -294,7 +294,7 @@ def step_per_window(state, y_windows, cfg):
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
-        obj_history=state.obj_history + [obj],
+        objective=obj,
         residual=max((float(np.abs(z_new[t] - w_new[t] + w_new[t + 1]).max())
                       for t in range(b - 1)), default=0.0),
         kappa=kappa,

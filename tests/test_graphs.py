@@ -105,6 +105,20 @@ class TestTerms:
             energy_pair = oracles.energy_penalty_term_pairwise(w, x)
             assert energy_deg == pytest.approx(energy_pair, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 5e153])
+    def test_edge_energy_stack_matches_the_pairwise_oracle(self, scale):
+        # at 5e153 each row energy is near the largest float; one-hot
+        # weights keep the oracle's sum finite, and nothing may warn
+        rng = np.random.default_rng(8)
+        b, n, s = 3, 6, 3
+        x = scale * rng.uniform(-1.0, 1.0, size=(b, n, s))
+        stack = graphs._edge_energy_stack(x)
+        assert stack.shape == (b, graphs.n_edges(n))
+        for t in range(b):
+            for e, one_hot in enumerate(np.eye(graphs.n_edges(n))):
+                expected = oracles.energy_penalty_term_pairwise(one_hot, x[t])
+                assert stack[t, e] == pytest.approx(expected, rel=1e-15, abs=0)
+
 
 class TestObjective:
     def test_all_zero(self):
@@ -141,6 +155,45 @@ class TestObjective:
         value = graphs.objective(y, x, w, **kwargs)
         expected = oracles.objective_per_window(y, x, w, **kwargs)
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_one_window_objective_is_the_sum_of_its_terms(self):
+        # bit for bit: the objective and the public terms share one code path
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n, s = int(rng.integers(2, 12)), int(rng.integers(1, 30))
+            y = rng.normal(size=(1, n, s))
+            x = y + rng.normal(scale=0.5, size=(1, n, s))
+            w = rng.uniform(0.0, 1.0, size=(1, graphs.n_edges(n)))
+            gamma, alpha = rng.uniform(0.0, 2.0, size=2)
+            eta = rng.uniform(0.0, 1.0 / (n - 1))
+            fit = graphs.objective(y, x, w, gamma=0.0, eta=0.0, alpha=0.0)
+            expected = (
+                fit
+                + gamma * graphs.smoothness_term(w[0], x[0])
+                - eta * graphs.energy_penalty_term(w[0], x[0])
+            )
+            value = graphs.objective(y, x, w, gamma=gamma, eta=eta, alpha=alpha)
+            assert value == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stack_objective_is_the_sum_of_window_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        b, n, s = 8, 12, 40
+        y = rng.normal(size=(b, n, s))
+        x = y + rng.normal(scale=0.3, size=(b, n, s))
+        w = rng.uniform(0.0, 1.0, size=(b, graphs.n_edges(n)))
+        gamma, eta, alpha = 0.7, 0.5 / (n - 1), 0.4
+        expected = (
+            graphs.objective(y, x, w, gamma=0.0, eta=0.0, alpha=0.0)
+            + sum(
+                gamma * graphs.smoothness_term(w[t], x[t])
+                - eta * graphs.energy_penalty_term(w[t], x[t])
+                for t in range(b)
+            )
+            + alpha * graphs.temporal_variation(w).sum()
+        )
+        value = graphs.objective(y, x, w, gamma=gamma, eta=eta, alpha=alpha)
+        assert value == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_affine_in_single_weight(self):
         # second difference of an affine function vanishes (away from the
@@ -179,6 +232,11 @@ class TestWindowing:
     def test_too_short(self):
         with pytest.raises(ValueError):
             graphs.window_signals(np.zeros((3, 4)), 5)
+
+    @pytest.mark.parametrize("window_len", [2.0, 2.5])
+    def test_non_integer_window_len_rejected(self, window_len):
+        with pytest.raises(ValueError, match="window_len must be an integer"):
+            graphs.window_signals(np.zeros((3, 8)), window_len)
 
     def test_signal_validation(self):
         with pytest.raises(ValueError):

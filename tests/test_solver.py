@@ -112,6 +112,13 @@ class TestUpdateX:
         with pytest.raises(ValueError):
             update_x(np.ones((3, 4)), np.ones(4), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "gamma, eta", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)]
+    )
+    def test_non_finite_gamma_or_eta_rejected(self, gamma, eta):
+        with pytest.raises(ValueError, match="gamma and eta must be finite"):
+            update_x(np.ones((3, 4)), np.full(3, 0.5), gamma, eta)
+
 
 class TestGradW:
     def test_zero_signals_zero_duals(self):
@@ -189,7 +196,7 @@ class TestStep:
         new = step(state, y, cfg)
         np.testing.assert_allclose(new.x, 0.0, atol=0)
         np.testing.assert_allclose(new.w, state.w, atol=1e-9)
-        assert new.obj_history[-1] == pytest.approx(0.0, abs=1e-12)
+        assert new.objective == pytest.approx(0.0, abs=1e-12)
         assert new.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_single_window_has_no_coupling_state(self):
@@ -232,9 +239,11 @@ class TestStep:
             )
             y = rng.normal(size=(2, 4, 4))
             state = _initial_state(y, cfg)
+            values = [state.objective]
             for _ in range(30):
                 state = step(state, y, cfg)
-            diffs = np.diff(state.obj_history)
+                values.append(state.objective)
+            diffs = np.diff(values)
             assert diffs.max() <= 1e-10
 
     def test_warm_started_kappa_matches_cold_start(self):
@@ -249,7 +258,7 @@ class TestStep:
             cold = step(cold, y, cfg)
             assert warm.kappa.shape == (3,)
             # on a flat stretch of the clipped sum both report its midpoint
-            for name in ("w", "x", "z", "beta", "obj_history", "kappa"):
+            for name in ("w", "x", "z", "beta", "objective", "kappa"):
                 np.testing.assert_allclose(
                     getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12
                 )
@@ -276,7 +285,7 @@ class TestStep:
         for _ in range(100):
             batched = step(batched, y, cfg)
             per_window = oracles.step_per_window(per_window, y, cfg)
-            for name in ("w", "x", "z", "beta", "obj_history", "residual"):
+            for name in ("w", "x", "z", "beta", "objective", "residual"):
                 np.testing.assert_allclose(
                     getattr(batched, name), getattr(per_window, name),
                     rtol=0, atol=1e-12, err_msg=name,
@@ -315,7 +324,7 @@ class TestStep:
             [[0.0012080399959187816, -0.0004183246607489011, -0.0007897153351698827]],
             atol=1e-11,
         )
-        assert state.obj_history[-1] == pytest.approx(4.685900204117372, abs=1e-9)
+        assert state.objective == pytest.approx(4.685900204117372, abs=1e-9)
 
         state = step(state, y, cfg)
         state = step(state, y, cfg)
@@ -353,7 +362,7 @@ class TestStep:
             [[0.00390213685950413, -0.0025577730135566946, -0.0035069104132231417]],
             atol=1e-9,
         )
-        assert state.obj_history[-1] == pytest.approx(4.23618568278013, abs=1e-8)
+        assert state.objective == pytest.approx(4.23618568278013, abs=1e-8)
 
 
 class TestFits:

@@ -136,6 +136,11 @@ class TestEdgeF1:
         with pytest.raises(ValueError):
             edge_f1(np.zeros(3), np.zeros(3), k=4)
 
+    @pytest.mark.parametrize("k", [1.0, 1.5])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            edge_f1(np.zeros(3), np.zeros(3), k=k)
+
 
 class TestChangeProfile:
     def test_constant_sequence(self):
