@@ -6,11 +6,12 @@ graphs, and the window-by-window correlation matrix of a graph sequence.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import check_integer
 
 __all__ = [
     "ConsensusGraph",
@@ -71,8 +72,7 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
     if any(t.shape != shape for t in mats):
         raise ValueError("all trials must share the same shape")
     n = shape[0]
-    if not isinstance(top_k, numbers.Integral):
-        raise ValueError(f"top_k must be an integer, got {top_k!r}")
+    check_integer("top_k", top_k)
     if not 0 < top_k <= n:
         raise ValueError(f"top_k={top_k} outside (0, {n}]")
 
@@ -96,9 +96,10 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     """
     if not np.isfinite(prob_threshold):
         raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
-    if not isinstance(count_threshold, numbers.Integral):
-        raise ValueError(f"count_threshold must be an integer, got {count_threshold!r}")
+    check_integer("count_threshold", count_threshold)
     graphs = np.atleast_2d(np.asarray(graph_per_trial, dtype=np.float64))
+    if not np.isfinite(graphs).all():
+        raise ValueError("non-finite value in the input")
     if graphs.shape[0] < 1:
         raise ValueError("need at least one trial graph")
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)

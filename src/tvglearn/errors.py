@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
+
+import math
+import numbers
 
 __all__ = [
     "TvgLearnError",
@@ -47,3 +50,18 @@ class DivergenceError(TvgLearnError):
 
 class UsageError(TvgLearnError):
     """Bad command line or configuration input."""
+
+
+def check_integer(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite(name, value, *, positive=False):
+    """Raise ValueError naming ``name`` unless ``value`` is a finite number
+    that is non-negative, or positive with ``positive``."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")

@@ -12,11 +12,11 @@ is a 3-D array of shape (n_windows, n_nodes, window_len).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from . import _kernels
+from .errors import check_integer
 
 __all__ = [
     "edge_pairs",
@@ -73,8 +73,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
     Trailing samples that do not fill a window are dropped.
     """
     y = as_signal_matrix(y)
-    if not isinstance(window_len, numbers.Integral):
-        raise ValueError(f"window_len must be an integer, got {window_len!r}")
+    check_integer("window_len", window_len)
     if window_len < 1:
         raise ValueError("window_len must be positive")
     n, t = y.shape
@@ -209,12 +208,11 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     # each term's (b, m) stack is freed before the next is made, and before
     # the window-sized residual buffer, to keep the peak memory low
     smooth = _smoothness(w_seq, x_windows)
-    energy = _energy(w_seq, x_windows)
+    energy = _energy(w_seq, x_windows) if eta != 0.0 else 0.0
     change = float(temporal_variation(w_seq).sum())
     resid = np.empty_like(y_windows[0])
     fit = 0.0
     for t in range(w_seq.shape[0]):
         np.subtract(y_windows[t], x_windows[t], out=resid)
         fit += float(np.einsum("ns,ns->", resid, resid))
-    # kept at eta = 0: 0 * inf is NaN, which flags overflowing signals
     return fit + gamma * smooth - eta * energy + alpha * change

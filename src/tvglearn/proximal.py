@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .errors import check_finite
 
 __all__ = ["soft_threshold", "prox_l1_linear"]
 
@@ -15,8 +15,7 @@ def soft_threshold(a, s):
     Evaluated as a minus its clip to [-s, s]: the same values up to the sign
     of zeros, in three array passes.
     """
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"threshold s must be non-negative and finite, got {s}")
+    check_finite("threshold s", s)
     a = np.asarray(a, dtype=np.float64)
     return a - np.minimum(np.maximum(a, -s), s)
 
@@ -31,10 +30,8 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
 
     Exact in closed form; no inner iteration.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+    check_finite("lam", lam, positive=True)
+    check_finite("alpha", alpha)
     v = np.asarray(v, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != v.shape:

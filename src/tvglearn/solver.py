@@ -12,7 +12,6 @@ empty.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -20,6 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
+from .errors import check_finite, check_integer
 from .graphs import (
     _edge_energy_stack,
     _sq_dist_stack,
@@ -104,26 +104,19 @@ class SolverConfig:
     window_len: int | None = None
 
     def __post_init__(self):
-        for name in ("max_iter", "window_len"):
-            value = getattr(self, name)
-            if value is None and name == "window_len":
-                continue  # static fits span the record
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integer("max_iter", self.max_iter)
+        if self.window_len is not None:  # None: static fits span the record
+            check_integer("window_len", self.window_len)
         if not (math.isfinite(self.k_budget) and self.k_budget > 0):
             raise InfeasibleBudgetError(
                 f"k_budget must be positive and finite, got {self.k_budget}"
             )
         for name in ("gamma", "eta", "alpha"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+            check_finite(name, getattr(self, name))
         for name in ("lam", "tau1", "tau2", "tol_obj", "tol_residual"):
             value = getattr(self, name)
-            if value is None and name.startswith("tau"):
-                continue  # sized from the first gradient
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if value is not None:  # None: a tau sized from the first gradient
+                check_finite(name, value, positive=True)
         if self.tau2 is not None and self.tau2 * self.lam >= 2.0:
             # once |beta| is large, a dual step scales it by about
             # 1 - tau2 * lam, which grows without bound past this point
@@ -344,9 +337,9 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     m = n_edges(n)
     x0 = y_windows.copy()
     w0 = np.full((b, m), cfg.k_budget / m)
-    # the squared distances and energies of a record past about 1e154
-    # overflow: the non-finite objective reports that as one typed error,
-    # without a floating-point warning first
+    # the squared distances of a record past about 1e154 overflow, and so
+    # do its energies, which count when eta != 0: the non-finite objective
+    # reports that as one typed error, without a floating-point warning first
     with np.errstate(over="ignore", invalid="ignore"):
         obj0 = _finite_objective(y_windows, x0, w0, cfg, 0)
     return SolverState(

@@ -7,15 +7,13 @@ scored against a known answer.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import InfeasibleBudgetError
-from .graphs import edge_pairs, laplacian, n_edges, temporal_variation
+from .errors import InfeasibleBudgetError, check_finite, check_integer
+from .graphs import edge_pairs, n_edges, temporal_variation
+from .solver import update_x
 
 __all__ = ["ScenarioSpec", "GroundTruth", "generate", "edge_f1", "change_profile"]
 
@@ -37,9 +35,7 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("n_nodes", "k_true", "n_segments", "windows_per_segment",
                      "window_len", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         if not 0 < self.k_true <= n_edges(self.n_nodes):
@@ -50,14 +46,8 @@ class ScenarioSpec:
             raise ValueError("need at least one segment and one window")
         if self.window_len < 1:
             raise ValueError("window_len must be positive")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(
-                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
-            )
-        if not (math.isfinite(self.smooth_gamma) and self.smooth_gamma > 0):
-            raise ValueError(
-                f"smooth_gamma must be positive and finite, got {self.smooth_gamma}"
-            )
+        check_finite("noise_sigma", self.noise_sigma)
+        check_finite("smooth_gamma", self.smooth_gamma, positive=True)
         if not 0.0 <= self.zero_node_fraction < 1.0:
             raise ValueError("zero_node_fraction must be in [0, 1)")
 
@@ -116,13 +106,12 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
 
     clean = np.empty((n, spec.n_samples))
     for s in range(spec.n_segments):
-        lap = laplacian(segments[s])
-        a = np.eye(n) + spec.smooth_gamma * lap
-        factor = cho_factor(a, lower=True)
         for b in range(spec.windows_per_segment):
             eps = rng.standard_normal((n, spec.window_len))
             start = (s * spec.windows_per_segment + b) * spec.window_len
-            clean[:, start : start + spec.window_len] = cho_solve(factor, eps)
+            clean[:, start : start + spec.window_len] = update_x(
+                eps, segments[s], spec.smooth_gamma, 0.0
+            )
     clean[zero_mask] = 0.0
 
     noise = rng.standard_normal(clean.shape)
@@ -151,8 +140,9 @@ def edge_f1(estimated, truth, k: int) -> float:
         raise ValueError("estimate and truth must have the same edge count")
     if not np.all((truth == 0.0) | (truth == 1.0)):
         raise ValueError("truth must be a 0/1 edge vector")
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    if not np.isfinite(estimated).all():
+        raise ValueError("non-finite value in the input")
+    check_integer("k", k)
     if not 0 < k <= estimated.shape[0]:
         raise ValueError(f"k={k} outside (0, {estimated.shape[0]}]")
 

@@ -83,7 +83,7 @@ class TestSelectConsistentNodes:
         with pytest.raises(ValueError):
             select_consistent_nodes([np.zeros((3, 5))], top_k=2)
 
-    @pytest.mark.parametrize("top_k", [1.0, 1.5])
+    @pytest.mark.parametrize("top_k", [1.0, 1.5, True])
     def test_non_integer_top_k_rejected(self, top_k):
         trials = [np.arange(15.0).reshape(3, 5)] * 2
         with pytest.raises(ValueError, match="top_k must be an integer"):
@@ -118,7 +118,7 @@ class TestConsensus:
         with pytest.raises(ValueError, match="prob_threshold"):
             consensus(np.ones((3, 4)), prob_threshold=threshold, count_threshold=0)
 
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 1.5])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 1.5, True])
     def test_non_integer_count_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="count_threshold must be an integer"):
             consensus(np.ones((3, 4)), prob_threshold=0.5, count_threshold=threshold)
@@ -208,3 +208,5 @@ def test_non_finite_input_rejected(bad):
     seq[1, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         graph_correlation_matrix(seq)
+    with pytest.raises(ValueError, match="non-finite"):
+        consensus(seq, prob_threshold=0.5, count_threshold=0)

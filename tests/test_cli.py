@@ -215,7 +215,7 @@ VALID_KWARGS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 8.0, float("nan")])
+@pytest.mark.parametrize("value", [2.5, 8.0, float("nan"), True])
 @pytest.mark.parametrize(
     "cls, name", INT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS]
 )

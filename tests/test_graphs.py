@@ -141,6 +141,16 @@ class TestObjective:
         value = graphs.objective(y, y, w, gamma=1.0, eta=0.0, alpha=2.0)
         assert value == pytest.approx(3.0)
 
+    def test_energy_term_is_skipped_at_zero_eta(self):
+        # rows near 1e160 overflow their energies but not their distances:
+        # at eta = 0 the energy term is not evaluated, so the value is finite
+        x = 1e160 * (1.0 + 1e-10 * np.arange(6.0).reshape(1, 3, 2))
+        w = np.full((1, 3), 0.5)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(graphs.energy_penalty_term(w[0], x[0]))
+        value = graphs.objective(x, x, w, gamma=1.0, eta=0.0, alpha=0.1)
+        assert value == graphs.smoothness_term(w[0], x[0]) > 0.0
+
     @pytest.mark.parametrize("b", [1, 8])
     @pytest.mark.parametrize("eta_scale", [0.0, 0.9])
     def test_matches_per_window_oracle(self, b, eta_scale):
@@ -233,7 +243,7 @@ class TestWindowing:
         with pytest.raises(ValueError):
             graphs.window_signals(np.zeros((3, 4)), 5)
 
-    @pytest.mark.parametrize("window_len", [2.0, 2.5])
+    @pytest.mark.parametrize("window_len", [2.0, 2.5, True])
     def test_non_integer_window_len_rejected(self, window_len):
         with pytest.raises(ValueError, match="window_len must be an integer"):
             graphs.window_signals(np.zeros((3, 8)), window_len)

@@ -462,6 +462,20 @@ class TestFits:
             with pytest.raises(DivergenceError, match="initialization"):
                 fit(y, SolverConfig(k_budget=1, window_len=4))
 
+    def test_offset_record_fits_at_zero_eta_without_a_warning(self):
+        # the energies of a 1e154 offset overflow but its distances do not:
+        # at eta = 0 the energy term is never evaluated, so the fit runs;
+        # at eta > 0 it is, and the initial objective reports the overflow
+        y = 1e154 + np.random.default_rng(0).normal(size=(4, 40))
+        cfg = SolverConfig(k_budget=1.0, window_len=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w_seq, _, report = fit_dynamic(y, cfg)
+            assert report.converged and np.isfinite(report.final_objective)
+            assert all(is_feasible(w, 1.0) for w in w_seq)
+            with pytest.raises(DivergenceError, match="initialization"):
+                fit_dynamic(y, replace(cfg, eta=0.1))
+
     @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
     @pytest.mark.parametrize(
         "scale, shape, window_len, eta",

@@ -37,6 +37,39 @@ class TestGenerate:
         np.testing.assert_array_equal(a.segments, b.segments)
         assert a.boundaries == b.boundaries
 
+    def test_frozen_values(self):
+        # frozen draws: how the clean blocks solve I + gamma*L may move
+        # them by rounding only
+        truth = generate(ScenarioSpec(n_nodes=5, k_true=4, seed=1))
+        frozen = {
+            "signals[0, :3]": (
+                truth.signals[0, :3],
+                [0.2472596729954462, 0.5858705167355193, -0.08860932457625752],
+            ),
+            "clean[:, 0]": (
+                truth.clean[:, 0],
+                [0.282439148535868, 0.16904674401922898, 0.4520632057794605,
+                 0.18561973832899645, 0.22270335740377087],
+            ),
+            "clean[:, 600]": (
+                truth.clean[:, 600],
+                [-0.5503388110094726, -1.0567800985639495, -0.6868951859543925,
+                 -0.5453421711000145, -0.9501814827070502],
+            ),
+            "clean row energies": (
+                (truth.clean**2).sum(axis=1),
+                [179.67365605461015, 187.2269475195571, 179.49792893165,
+                 188.83080401525072, 175.57947870075657],
+            ),
+            "signal row energies": (
+                (truth.signals**2).sum(axis=1),
+                [187.43666486203273, 197.2740984759668, 183.71772874313274,
+                 198.23689253915796, 182.7735597380493],
+            ),
+        }
+        for name, (actual, expected) in frozen.items():
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, err_msg=name)
+
     def test_noise_free(self):
         truth = generate(_spec(noise_sigma=0.0))
         np.testing.assert_array_equal(truth.signals, truth.clean)
@@ -136,10 +169,15 @@ class TestEdgeF1:
         with pytest.raises(ValueError):
             edge_f1(np.zeros(3), np.zeros(3), k=4)
 
-    @pytest.mark.parametrize("k", [1.0, 1.5])
+    @pytest.mark.parametrize("k", [1.0, 1.5, True])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
             edge_f1(np.zeros(3), np.zeros(3), k=k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            edge_f1([bad, 1.0, 0.0], [1, 0, 0], k=1)
 
 
 class TestChangeProfile:
