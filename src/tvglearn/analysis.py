@@ -69,6 +69,8 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
     if len(mats) < 2:
         raise ValueError("need at least 2 trials")
     shape = mats[0].shape
+    if len(shape) != 2:
+        raise ValueError(f"each trial must be a 2-D array, got {len(shape)}-D")
     if any(t.shape != shape for t in mats):
         raise ValueError("all trials must share the same shape")
     n = shape[0]

@@ -151,12 +151,7 @@ def _edge_energy_stack(x_windows) -> np.ndarray:
     (b, n, s) stack; sum_i d_i ||x_i||^2 is their sum weighted by W."""
     row_energy = np.einsum("bns,bns->bn", x_windows, x_windows)
     i_idx, j_idx = _kernels.triu_pairs(x_windows.shape[1])
-    # the indices are in range, so "clip" only skips the default mode's bounds
-    # pass; the j ends go in window by window so no second (b, m) stack is held
-    out = np.take(row_energy, i_idx, axis=1, mode="clip")
-    for t, energy in enumerate(row_energy):
-        out[t] += np.take(energy, j_idx, mode="clip")
-    return out
+    return row_energy[:, i_idx] + row_energy[:, j_idx]
 
 
 # Each term is one einsum over its (b, m) stack, not a BLAS dot: a zero

@@ -88,7 +88,8 @@ class SolverConfig:
     tol_residual : float
         Tolerance on max_t ||Z_t - W_t + W_{t+1}||_inf.
     window_len : int or None
-        Samples per window for dynamic fits; ignored by static fits.
+        Samples per window (at least 1) for dynamic fits; ignored by
+        static fits.
     """
 
     k_budget: float
@@ -107,6 +108,8 @@ class SolverConfig:
         check_integer("max_iter", self.max_iter)
         if self.window_len is not None:  # None: static fits span the record
             check_integer("window_len", self.window_len)
+            if self.window_len < 1:
+                raise ValueError("window_len must be positive")
         if not (math.isfinite(self.k_budget) and self.k_budget > 0):
             raise InfeasibleBudgetError(
                 f"k_budget must be positive and finite, got {self.k_budget}"
@@ -202,15 +205,23 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     A = C C^T as X = (C^-T C^-1) Y: the small (n, n) inverse is formed first,
     so the (n, s) signals go through one product.  The system matrix must be
     positive definite.  Raises ValueError on a non-finite gamma, eta, weight
-    or signal.
+    or signal, and on a system whose assembly would overflow.
     """
     if not (math.isfinite(gamma) and math.isfinite(eta)):
         raise ValueError(f"gamma and eta must be finite, got {gamma} and {eta}")
     y_block = np.asarray(y_block, dtype=np.float64)
+    if not np.isfinite(y_block).all():
+        raise ValueError("signals must not contain infs or NaNs")
     w = np.asarray(weights, dtype=np.float64)
-    if not (np.isfinite(w).all() and np.isfinite(y_block).all()):
-        raise ValueError("weights and signals must not contain infs or NaNs")
     a = weight_matrix(w)  # checks the shape and the edge count
+    # no entry of the system, nor a degree, exceeds this bound in size, so
+    # the assembly overflows only if it does (a NaN weight makes it NaN)
+    if not math.isfinite(
+        (1.0 + abs(gamma) + abs(eta)) * float(np.abs(w).max()) * a.shape[0]
+    ):
+        raise ValueError(
+            "weights must be finite, and I + gamma*L - eta*D must not overflow"
+        )
     deg = a.sum(axis=1)
     a *= -gamma
     a.flat[:: a.shape[0] + 1] = gamma * deg + (1.0 - eta * deg)
@@ -268,20 +279,16 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
 def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     """One full iteration over all windows; returns the advanced state."""
     x_new = np.empty_like(state.x)
-    # a record near 1e153 can overflow the X-update, the gradient or the W
-    # step: the check below reports that as one typed error, without a
-    # floating-point warning first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(state.n_windows):
-            x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
-        raw = grad_w(x_new, state.beta, cfg)
-        tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
-        # tau1 can be large next to the gradient's offset (C1 / S for a
-        # spread of rounding noise); the kappa of each row absorbs a shift of
-        # that row, so drop the offset to keep W - tau1 * G resolvable
-        raw -= raw.min(axis=1, keepdims=True)
-        raw *= tau1
-        np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
+    for t in range(state.n_windows):
+        x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
+    raw = grad_w(x_new, state.beta, cfg)
+    tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
+    # tau1 can be large next to the gradient's offset (C1 / S for a
+    # spread of rounding noise); the kappa of each row absorbs a shift of
+    # that row, so drop the offset to keep W - tau1 * G resolvable
+    raw -= raw.min(axis=1, keepdims=True)
+    raw *= tau1
+    np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
     if not np.isfinite(raw).all():
         raise DivergenceError(
             f"the W-gradient step became non-finite at iteration "
@@ -337,11 +344,7 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     m = n_edges(n)
     x0 = y_windows.copy()
     w0 = np.full((b, m), cfg.k_budget / m)
-    # the squared distances of a record past about 1e154 overflow, and so
-    # do its energies, which count when eta != 0: the non-finite objective
-    # reports that as one typed error, without a floating-point warning first
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj0 = _finite_objective(y_windows, x0, w0, cfg, 0)
+    obj0 = _finite_objective(y_windows, x0, w0, cfg, 0)
     return SolverState(
         x=x0, w=w0, z=np.zeros((b - 1, m)), beta=np.zeros((b - 1, m)), objective=obj0
     )
@@ -355,14 +358,18 @@ def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
 
 
 def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
-    state = _initial_state(y_windows, cfg)
     converged = False
-    while state.iteration < cfg.max_iter:
-        previous = state.objective
-        state = step(state, y_windows, cfg)
-        if _converged(state, previous, cfg):
-            converged = True
-            break
+    # a record near 1e153 overflows the objective, the X-update, the
+    # gradient or the W step; the finiteness checks report that as one
+    # typed error, without a floating-point warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _initial_state(y_windows, cfg)
+        while state.iteration < cfg.max_iter:
+            previous = state.objective
+            state = step(state, y_windows, cfg)
+            if _converged(state, previous, cfg):
+                converged = True
+                break
     for t, w in enumerate(state.w):
         if not is_feasible(w, cfg.k_budget):
             # the projection cannot meet the budget once W - tau1 * G spans
@@ -403,11 +410,10 @@ def fit_dynamic(y, cfg: SolverConfig):
         ``x_windows`` the (n_windows, n_nodes, window_len) denoised
         signals, ``report`` a :class:`FitReport`.
     """
-    y = as_signal_matrix(y)
     if cfg.window_len is None:
         raise ValueError("fit_dynamic needs cfg.window_len")
-    cfg.validate_for(y.shape[0])
     y_windows = window_signals(y, cfg.window_len)
+    cfg.validate_for(y_windows.shape[1])
     state, report = _run(y_windows, cfg)
     return state.w, state.x, report
 

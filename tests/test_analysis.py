@@ -83,6 +83,17 @@ class TestSelectConsistentNodes:
         with pytest.raises(ValueError):
             select_consistent_nodes([np.zeros((3, 5))], top_k=2)
 
+    @pytest.mark.parametrize("trials, top_k, match", [
+        ([np.arange(5.0)] * 2, 1, "2-D array, got 1-D"),
+        ([np.zeros((2, 3, 4))] * 2, 1, "2-D array, got 3-D"),
+        ([np.zeros((3, 5)), np.zeros((3, 6))], 1, "same shape"),
+        ([np.arange(15.0).reshape(3, 5)] * 2, 0, "outside"),
+        ([np.arange(15.0).reshape(3, 5)] * 2, 4, "outside"),
+    ], ids=["1-D", "3-D", "ragged", "top_k=0", "top_k>n"])
+    def test_malformed_trials_rejected(self, trials, top_k, match):
+        with pytest.raises(ValueError, match=match):
+            select_consistent_nodes(trials, top_k=top_k)
+
     @pytest.mark.parametrize("top_k", [1.0, 1.5, True])
     def test_non_integer_top_k_rejected(self, top_k):
         trials = [np.arange(15.0).reshape(3, 5)] * 2
@@ -117,6 +128,10 @@ class TestConsensus:
     def test_non_finite_prob_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="prob_threshold"):
             consensus(np.ones((3, 4)), prob_threshold=threshold, count_threshold=0)
+
+    def test_needs_one_trial_graph(self):
+        with pytest.raises(ValueError, match="at least one trial graph"):
+            consensus(np.zeros((0, 3)), prob_threshold=0.5, count_threshold=0)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 1.5, True])
     def test_non_integer_count_threshold_rejected(self, threshold):

@@ -320,6 +320,31 @@ class TestRun:
         assert run(["--mode", "analyze", "--input", str(fit_dir),
                     "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,0.5\n1,3,0.5\n2,3,0.5\n", "expected an i,j,w graph file"),
+        ("i,j,w\n1,2,0.5\n1,3\n2,3,0.5\n", "row 3 is not i,j,w"),
+        ("i,j,w\n1,2,0.5\n3,1,0.5\n2,3,0.5\n", "edge (3,1) is not upper-triangular"),
+    ], ids=["no header", "short row", "lower triangle"])
+    def test_malformed_graph_row_is_data_error(self, tmp_path, capsys, text, message):
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        for t in (1, 2):
+            (fit_dir / f"graph_{t}.csv").write_text(text)
+        assert run(["--mode", "analyze", "--input", str(fit_dir),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"{fit_dir / 'graph_1.csv'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["analyze", "consensus"])
+    def test_too_few_graph_files_is_data_error(self, tmp_path, capsys, mode):
+        # analyze needs two windows; consensus needs one trial subdirectory
+        directory = tmp_path / "in"
+        self._write_graph(directory, 1, 3)
+        assert run(["--mode", mode, "--input", str(directory),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert str(directory) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _write_graph(directory, t, n):
         directory.mkdir(parents=True, exist_ok=True)
@@ -477,6 +502,26 @@ class TestRun:
         assert "window_len must be positive" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("window_len", ["0", "-5"])
+    def test_fit_nonpositive_window_len_is_usage_error(
+        self, tmp_path, capsys, mode, window_len
+    ):
+        # a static fit ignores window_len, but the config still rejects it
+        path = self._write_signals(tmp_path)
+        assert run(["--mode", mode, "--input", str(path), "--out", str(tmp_path / "o"),
+                    "--k", "2", "--window-len", window_len]) == 1
+        assert "window_len must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_synth_overflowing_smoothing_is_usage_error(self, tmp_path, capsys):
+        # I + smooth_gamma * L overflows, so no clean record can be drawn
+        assert run(["--mode", "synth", "--n-nodes", "5", "--k-true", "4",
+                    "--smooth-gamma", "1e308", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "must not overflow" in err and "warning" not in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("mode, window_len", [("static", None), ("dynamic", 8)])
     def test_unset_options_take_the_library_defaults(self, tmp_path, mode, window_len):
         path = self._write_signals(tmp_path)
@@ -600,7 +645,7 @@ class TestRun:
         assert (out / "consensus_1.csv").read_text().splitlines()[1:] == \
             ["1,2,1,1", "1,3,1,1", "2,3,1,1"]
 
-    @pytest.mark.parametrize("line", ["heatmap=ture", "mode=bogus"])
+    @pytest.mark.parametrize("line", ["heatmap=ture", "mode=bogus", "heatmap"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
         fit_dir = tmp_path / "fit"
         for t in (1, 2):

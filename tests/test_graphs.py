@@ -25,6 +25,15 @@ class TestEdgeIndexing:
         with pytest.raises(ValueError):
             graphs.n_nodes_for_edges(4)
 
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_edge_pairs_need_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            graphs.edge_pairs(n_nodes)
+
+    def test_edge_vector_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="edge vector must be 1-D"):
+            graphs.weight_matrix(np.zeros((2, 3)))
+
 
 class TestLaplacian:
     def test_empty_graph(self):
@@ -90,6 +99,21 @@ class TestTerms:
             graphs.smoothness_term([1.0], np.zeros((3, 4)))
         with pytest.raises(ValueError):
             graphs.energy_penalty_term([1.0, 0.0, 0.0], np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("w_seq, x_windows, y_shape, match", [
+        (np.zeros((1, 1, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "graph sequence"),
+        (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "window count"),
+        (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "window count"),
+        (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4), "share a shape"),
+    ], ids=["3-D graphs", "window count", "2-D signals", "Y shape"])
+    def test_objective_rejects_mismatched_stacks(self, w_seq, x_windows, y_shape, match):
+        with pytest.raises(ValueError, match=match):
+            graphs.objective(np.zeros(y_shape), x_windows, w_seq,
+                             gamma=1.0, eta=0.0, alpha=0.1)
+
+    def test_temporal_variation_needs_a_sequence(self):
+        with pytest.raises(ValueError, match="graph sequence"):
+            graphs.temporal_variation(np.zeros(3))
 
     def test_trace_identities_random(self):
         rng = np.random.default_rng(5)
@@ -246,6 +270,11 @@ class TestWindowing:
     @pytest.mark.parametrize("window_len", [2.0, 2.5, True])
     def test_non_integer_window_len_rejected(self, window_len):
         with pytest.raises(ValueError, match="window_len must be an integer"):
+            graphs.window_signals(np.zeros((3, 8)), window_len)
+
+    @pytest.mark.parametrize("window_len", [0, -2])
+    def test_nonpositive_window_len_rejected(self, window_len):
+        with pytest.raises(ValueError, match="window_len must be positive"):
             graphs.window_signals(np.zeros((3, 8)), window_len)
 
     def test_signal_validation(self):

@@ -131,6 +131,8 @@ class TestStack:
             project_capped_simplex(stack[0], 1.0, start=np.zeros(1))
         with pytest.raises(ValueError):
             project_capped_simplex(np.zeros((2, 2, 2)), 1.0)
+        with pytest.raises(ValueError, match="empty stack"):
+            project_capped_simplex(np.zeros((0, 4)), 1.0)
 
 
 @st.composite
@@ -220,6 +222,10 @@ class TestFeasibility:
         assert is_feasible([0.5, 0.5], 1.0, tol=1e-9)
         assert not is_feasible([1.2, 0.0], 1.2, tol=1e-9)
         assert not is_feasible([0.6, 0.6], 1.0, tol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_infeasible(self, bad):
+        assert not is_feasible([0.5, bad], 1.0)
 
     def test_projection_outputs_always_feasible(self):
         rng = np.random.default_rng(3)

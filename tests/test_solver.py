@@ -108,6 +108,19 @@ class TestUpdateX:
                 update_x(y, w, 1.0, eta)
         assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("weight, gamma, eta", [
+        (1.0, 1e308, 0.0),
+        (1.0, 0.0, -1e308),
+        (1e308, 0.0, 0.0),
+    ], ids=["gamma", "eta", "weight"])
+    def test_overflowing_system_raises_without_warning(self, weight, gamma, eta):
+        # finite inputs whose I + gamma*L - eta*D overflows: the Cholesky
+        # factor of an infinite diagonal would turn X into zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must not overflow"):
+                update_x(np.ones((5, 3)), np.full(10, weight), gamma, eta)
+
     def test_wrong_edge_count(self):
         with pytest.raises(ValueError):
             update_x(np.ones((3, 4)), np.ones(4), 1.0, 0.0)
@@ -535,6 +548,15 @@ class TestFits:
         np.testing.assert_allclose(new.z[0], z_expected, atol=1e-12)
         beta_expected = beta_old[0] + cfg.tau2 * (new.z[0] - diff)
         np.testing.assert_allclose(new.beta[0], beta_expected, atol=1e-12)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("max_iter", 0, "max_iter must be at least 1"),
+        ("window_len", 0, "window_len must be positive"),
+        ("window_len", -3, "window_len must be positive"),
+    ])
+    def test_counts_below_one_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(k_budget=1.0, **{name: value})
 
     @pytest.mark.parametrize("tau2, lam", [(4.0, 0.5), (2.0, 1.0), (5.0, 0.5)])
     def test_unstable_dual_step_rejected(self, tau2, lam):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ class TestSpec:
     def test_non_finite_scale_is_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             _spec(**{name: value})
+
+    @pytest.mark.parametrize("fields, error, match", [
+        (dict(n_nodes=1, k_true=1), ValueError, "at least 2 nodes"),
+        (dict(k_true=0), InfeasibleBudgetError, "k_true=0"),
+        (dict(n_nodes=4, k_true=7), InfeasibleBudgetError, "k_true=7"),
+        (dict(n_segments=0), ValueError, "at least one segment"),
+        (dict(windows_per_segment=0), ValueError, "at least one segment"),
+    ], ids=["one node", "no edges", "too many edges", "no segment", "no window"])
+    def test_bad_layout_is_rejected(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            _spec(**fields)
 
 
 class TestGenerate:
@@ -104,6 +117,14 @@ class TestGenerate:
         with pytest.raises(InfeasibleBudgetError):
             generate(_spec(n_nodes=6, k_true=12, zero_node_fraction=0.5))
 
+    def test_overflowing_smoothing_system_raises_without_warning(self):
+        # I + smooth_gamma * L overflows: the X-update rejects the system
+        # instead of returning an all-zero clean record
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must not overflow"):
+                generate(ScenarioSpec(n_nodes=5, k_true=4, smooth_gamma=1e308))
+
     def test_true_graph_is_smoothest_among_random_budgets(self):
         spec = _spec(n_nodes=15, k_true=14, n_segments=1, windows_per_segment=4)
         truth = generate(spec)
@@ -168,6 +189,14 @@ class TestEdgeF1:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             edge_f1(np.zeros(3), np.zeros(3), k=4)
+
+    @pytest.mark.parametrize("estimate, truth, match", [
+        (np.zeros(3), np.zeros(6), "same edge count"),
+        (np.zeros(3), np.array([1.0, 0.5, 0.0]), "0/1 edge vector"),
+    ])
+    def test_malformed_vectors_rejected(self, estimate, truth, match):
+        with pytest.raises(ValueError, match=match):
+            edge_f1(estimate, truth, k=1)
 
     @pytest.mark.parametrize("k", [1.0, 1.5, True])
     def test_non_integer_k_rejected(self, k):
