@@ -37,16 +37,18 @@ def pairwise_sq_dists(x):
 
     Pairs follow row-major upper-triangular order; ``x`` is the (n, s) block
     of per-node signal rows.  The distances come from the Gram matrix,
-    ``G_ii + G_jj - 2 G_ij``, of the centred block.  A common shift leaves
-    the distances unchanged, and centring keeps the cancellation error
-    relative to the spread of the rows rather than to their offset.  The
-    block is shifted by its first row before its across-node mean, so rows
-    equal to the first centre to exact zeros at any scale.
+    ``G_ii + G_jj - 2 G_ij``, of the block shifted by its first row.  A
+    common shift leaves the distances unchanged, so a shared offset costs no
+    accuracy, rows equal to the first shift to exact zeros at any scale, and
+    rows huge only through a shared offset do not overflow.  The
+    cancellation error scales with ``max_k ||x_k - x_0||^2``, at most the
+    block's squared diameter.  Centring on the across-node mean as well
+    would scale it with ``max_k ||x_k - mean||^2``, a gain only when the
+    first row is an outlier, for one more pass over the block per call.
     """
     n = x.shape[0]
     i_idx, j_idx = triu_pairs(n)
     xc = x - x[0]
-    xc -= np.add.reduce(xc, 0) / n  # the mean, without ndarray.mean's wrapper
     gram = xc @ xc.T
     sq = gram.diagonal()
     d = sq[i_idx] + sq[j_idx]

@@ -62,8 +62,8 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
         the lower node index.
 
     A node with zero variance in some trial contributes correlation 0 for
-    the pairs involving that trial (with a warning).  A non-finite sample
-    raises ValueError.
+    the pairs involving that trial (with a warning).  A non-finite sample,
+    or trials with no samples, raise ValueError.
     """
     mats = [np.asarray(t, dtype=np.float64) for t in trials]
     if len(mats) < 2:
@@ -73,6 +73,8 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
         raise ValueError(f"each trial must be a 2-D array, got {len(shape)}-D")
     if any(t.shape != shape for t in mats):
         raise ValueError("all trials must share the same shape")
+    if shape[1] == 0:
+        raise ValueError("each trial needs at least one sample")
     n = shape[0]
     check_integer("top_k", top_k)
     if not 0 < top_k <= n:
@@ -119,12 +121,12 @@ def graph_correlation_matrix(w_seq) -> np.ndarray:
 
     Returns a symmetric (n_windows, n_windows) matrix with unit diagonal and
     entries in [-1, 1].  A window whose edge vector has zero variance gets 0
-    in its off-diagonal entries, with a warning.  A non-finite weight raises
-    ValueError.
+    in its off-diagonal entries, with a warning.  A non-finite weight, or a
+    sequence with no edges, raises ValueError.
     """
     w_seq = np.asarray(w_seq, dtype=np.float64)
-    if w_seq.ndim != 2 or w_seq.shape[0] < 2:
-        raise ValueError("need a (n_windows >= 2, n_edges) graph sequence")
+    if w_seq.ndim != 2 or w_seq.shape[0] < 2 or w_seq.shape[1] < 1:
+        raise ValueError("need a (n_windows >= 2, n_edges >= 1) graph sequence")
 
     corr = np.clip(_row_correlations(
         w_seq, "graph with zero edge-weight variance; its correlations are set to 0"

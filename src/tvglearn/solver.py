@@ -229,9 +229,12 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
     if info > 0:
         where = "window ?" if window is None else f"window {window}"
+        # at eta = 0 the exact system is positive definite, so only a gamma
+        # large enough to round away the identity makes it singular
+        hint = "gamma" if eta == 0.0 else "eta"
         raise SingularSystemError(
             f"{where}: I + gamma*L - eta*D is not positive definite "
-            f"(try a smaller eta)",
+            f"(try a smaller {hint})",
             window=window,
         )
     inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)

@@ -108,9 +108,10 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     for s in range(spec.n_segments):
         for b in range(spec.windows_per_segment):
             eps = rng.standard_normal((n, spec.window_len))
-            start = (s * spec.windows_per_segment + b) * spec.window_len
+            t = s * spec.windows_per_segment + b
+            start = t * spec.window_len
             clean[:, start : start + spec.window_len] = update_x(
-                eps, segments[s], spec.smooth_gamma, 0.0
+                eps, segments[s], spec.smooth_gamma, 0.0, window=t
             )
     clean[zero_mask] = 0.0
 

@@ -87,9 +87,10 @@ class TestSelectConsistentNodes:
         ([np.arange(5.0)] * 2, 1, "2-D array, got 1-D"),
         ([np.zeros((2, 3, 4))] * 2, 1, "2-D array, got 3-D"),
         ([np.zeros((3, 5)), np.zeros((3, 6))], 1, "same shape"),
+        ([np.zeros((2, 0))] * 2, 1, "at least one sample"),
         ([np.arange(15.0).reshape(3, 5)] * 2, 0, "outside"),
         ([np.arange(15.0).reshape(3, 5)] * 2, 4, "outside"),
-    ], ids=["1-D", "3-D", "ragged", "top_k=0", "top_k>n"])
+    ], ids=["1-D", "3-D", "ragged", "no-samples", "top_k=0", "top_k>n"])
     def test_malformed_trials_rejected(self, trials, top_k, match):
         with pytest.raises(ValueError, match=match):
             select_consistent_nodes(trials, top_k=top_k)
@@ -202,6 +203,10 @@ class TestGraphCorrelationMatrix:
     def test_needs_two_graphs(self):
         with pytest.raises(ValueError):
             graph_correlation_matrix(np.ones((1, 5)))
+
+    def test_needs_edges(self):
+        with pytest.raises(ValueError, match="n_edges >= 1"):
+            graph_correlation_matrix(np.ones((2, 0)))
 
 
 def test_no_warning_on_clean_input():

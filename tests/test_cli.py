@@ -522,6 +522,14 @@ class TestRun:
         assert "must not overflow" in err and "warning" not in err
         assert not (tmp_path / "d").exists()
 
+    def test_synth_singular_smoothing_is_numeric_error(self, tmp_path, capsys):
+        # I + smooth_gamma * L is finite but rounds to a singular matrix
+        assert run(["--mode", "synth", "--n-nodes", "5", "--k-true", "4",
+                    "--smooth-gamma", "1e200", "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert "window 0:" in err and "smaller gamma" in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("mode, window_len", [("static", None), ("dynamic", 8)])
     def test_unset_options_take_the_library_defaults(self, tmp_path, mode, window_len):
         path = self._write_signals(tmp_path)

@@ -32,6 +32,17 @@ def test_per_node_offsets():
     )
 
 
+def test_outlier_first_row():
+    # The block is shifted by its first row only, so the cancellation error
+    # scales with max_k ||x_k - x_0||^2 (about 2e8 here) against distances
+    # near 400: about 1e-10 relative per rounding, 1.2e-9 measured.
+    x = np.random.default_rng(59).normal(size=(20, 200))
+    x[0] += 1e3
+    np.testing.assert_allclose(
+        pairwise_sq_dists(x), oracles.pairwise_sq_dists_loops(x), rtol=1e-8, atol=0
+    )
+
+
 def test_identical_rows_give_zero_and_nothing_is_negative():
     rng = np.random.default_rng(53)
     for scale in (1e-6, 1.0, 1e6):

@@ -63,7 +63,15 @@ class TestUpdateX:
         with pytest.raises(SingularSystemError) as excinfo:
             update_x(np.array([[1.0], [1.0]]), np.array([1.0]), 0.0, 1.0, window=4)
         assert "window 4" in str(excinfo.value)
+        assert "smaller eta" in str(excinfo.value)
         assert excinfo.value.window == 4
+
+    def test_huge_gamma_names_gamma(self):
+        # at eta = 0 the rounded I + gamma*L loses its identity
+        with pytest.raises(SingularSystemError, match="smaller gamma") as excinfo:
+            update_x(np.ones((3, 2)), np.array([1.0, 1.0, 0.0]), 1e200, 0.0, window=2)
+        assert "window 2" in str(excinfo.value)
+        assert excinfo.value.window == 2
 
     def test_residual_bound(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tvglearn import InfeasibleBudgetError
+from tvglearn import InfeasibleBudgetError, SingularSystemError
 from tvglearn.graphs import edge_pairs, n_edges, smoothness_term, window_signals
 from tvglearn.synthetic import ScenarioSpec, change_profile, edge_f1, generate
 
@@ -124,6 +124,13 @@ class TestGenerate:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="must not overflow"):
                 generate(ScenarioSpec(n_nodes=5, k_true=4, smooth_gamma=1e308))
+
+    def test_singular_smoothing_system_names_gamma_and_window(self):
+        # I + smooth_gamma * L is finite but rounds to a singular matrix
+        with pytest.raises(SingularSystemError, match="smaller gamma") as excinfo:
+            generate(ScenarioSpec(n_nodes=5, k_true=4, smooth_gamma=1e200))
+        assert str(excinfo.value).startswith("window 0:")
+        assert excinfo.value.window == 0
 
     def test_true_graph_is_smoothest_among_random_budgets(self):
         spec = _spec(n_nodes=15, k_true=14, n_segments=1, windows_per_segment=4)
