@@ -63,8 +63,7 @@ _CLI_ONLY = {
 }
 
 # Values of unset options that no dataclass default supplies.
-_CLI_DEFAULTS = {"heatmap": False, "prob_threshold": 0.5, "count_threshold": 5,
-                 "n_nodes": 20, "k_true": 19}
+_CLI_DEFAULTS = {"heatmap": False, "prob_threshold": 0.5, "count_threshold": 5}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -126,9 +125,8 @@ def _read_text(path, error) -> str:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(parser: _Parser, path: str) -> dict:
     """The options in the ``key=value`` file at ``path``, parsed as ``--key=value``."""
-    parser = _build_parser()
     values = {}
     for lineno, line in enumerate(_read_text(path, UsageError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -153,11 +151,11 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(argv) -> dict:
+def _resolve(parser: _Parser, argv) -> dict:
     """Set options, flags over the config file; unset ones are left out."""
-    flags = vars(_build_parser().parse_args(argv))
+    flags = vars(parser.parse_args(argv))
     config = flags.pop("config", None)
-    file_values = _parse_config_file(config) if config else {}
+    file_values = _parse_config_file(parser, config) if config else {}
     return {**_CLI_DEFAULTS, **file_values, **flags}
 
 
@@ -444,8 +442,9 @@ def run(argv=None) -> int:
     Each warning raised while the mode computes is printed to stderr as
     ``warning: <message>`` when it is raised, so before any error message.
     """
+    parser = _build_parser()
     try:
-        opts = _resolve(argv if argv is not None else sys.argv[1:])
+        opts = _resolve(parser, argv)  # argparse reads sys.argv[1:] for None
         if "mode" not in opts:
             raise UsageError("--mode is required")
         _require(opts, "out")
@@ -457,7 +456,7 @@ def run(argv=None) -> int:
         _write(opts["out"], files)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _build_parser().print_usage(sys.stderr)
+        parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

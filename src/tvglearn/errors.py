@@ -44,8 +44,8 @@ class SingularSystemError(TvgLearnError):
 
 
 class DivergenceError(TvgLearnError):
-    """The solver's iterates outgrew floating point: the objective became
-    non-finite, or the final weights miss the edge budget."""
+    """The solver's iterates outgrew floating point: the objective or the W
+    step became non-finite, or the final weights miss the edge budget."""
 
 
 class UsageError(TvgLearnError):

@@ -62,6 +62,8 @@ def as_signal_matrix(values) -> np.ndarray:
         raise ValueError(f"signal matrix must be 2-D, got {y.ndim}-D")
     if y.shape[0] < 2:
         raise ValueError(f"need at least 2 node rows, got {y.shape[0]}")
+    if y.shape[1] < 1:
+        raise ValueError("signal matrix has no samples")
     if not np.isfinite(y).all():
         raise ValueError("signal matrix contains non-finite entries")
     return y

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import lapack
@@ -295,8 +295,7 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     if not np.isfinite(raw).all():
         raise DivergenceError(
             f"the W-gradient step became non-finite at iteration "
-            f"{state.iteration + 1} with tau1={tau1:.3g}; rescale the input "
-            f"or reduce eta"
+            f"{state.iteration + 1}; {_divergence_hint(cfg)}"
         )
     proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
     w_new, kappa = proj.projected, proj.kappa
@@ -315,20 +314,25 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
-        objective=_finite_objective(
-            y_windows, x_new, w_new, cfg, state.iteration + 1, tau1
-        ),
+        objective=_finite_objective(y_windows, x_new, w_new, cfg, state.iteration + 1),
         residual=residual,
         kappa=kappa,
         steps=(tau1, tau2),
     )
 
 
+def _divergence_hint(cfg: SolverConfig) -> str:
+    """Remedies for a divergence; a rule-sized tau1 follows the input's scale."""
+    eta = " or reduce eta" if cfg.eta > 0 else ""
+    tau1 = " or set a smaller tau1" if cfg.tau1 is not None else ""
+    return f"rescale the input{eta}{tau1}"
+
+
 def _finite_objective(
-    y_windows, x_windows, w_seq, cfg: SolverConfig, iteration: int, tau1=None
+    y_windows, x_windows, w_seq, cfg: SolverConfig, iteration: int
 ) -> float:
-    """The objective at the iterate ``iteration`` (0 for the starting point),
-    which step ``tau1`` produced; DivergenceError if it is not finite."""
+    """The objective at the iterate ``iteration`` (0 for the starting point);
+    DivergenceError if it is not finite."""
     obj = objective(
         y_windows, x_windows, w_seq, gamma=cfg.gamma, eta=cfg.eta, alpha=cfg.alpha
     )
@@ -336,8 +340,8 @@ def _finite_objective(
         raise DivergenceError(
             "objective is non-finite at initialization; rescale the input"
             if iteration == 0
-            else f"objective became non-finite at iteration {iteration} with "
-            f"tau1={tau1:.3g}; rescale the input or set a smaller tau1"
+            else f"objective became non-finite at iteration {iteration}; "
+            f"{_divergence_hint(cfg)}"
         )
     return obj
 
@@ -360,7 +364,8 @@ def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
     )
 
 
-def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
+def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitReport]:
+    cfg.validate_for(y_windows.shape[1])
     converged = False
     # a record near 1e153 overflows the objective, the X-update, the
     # gradient or the W step; the finiteness checks report that as one
@@ -380,8 +385,7 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
             raise DivergenceError(
                 f"window {t} misses the edge budget after iteration "
                 f"{state.iteration}: the iterates outgrew floating point "
-                f"(largest |x| {np.abs(state.x).max():.3g}); rescale the "
-                f"input or reduce eta"
+                f"(largest |x| {np.abs(state.x).max():.3g}); {_divergence_hint(cfg)}"
             )
     changes = temporal_variation(state.w)
     report = FitReport(
@@ -393,7 +397,7 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[SolverState, FitReport]:
         tau1=state.steps[0],
         tau2=state.steps[1],
     )
-    return state, report
+    return state.w, state.x, report
 
 
 def fit_dynamic(y, cfg: SolverConfig):
@@ -413,22 +417,16 @@ def fit_dynamic(y, cfg: SolverConfig):
         ``x_windows`` the (n_windows, n_nodes, window_len) denoised
         signals, ``report`` a :class:`FitReport`.
     """
-    if cfg.window_len is None:
-        raise ValueError("fit_dynamic needs cfg.window_len")
-    y_windows = window_signals(y, cfg.window_len)
-    cfg.validate_for(y_windows.shape[1])
-    state, report = _run(y_windows, cfg)
-    return state.w, state.x, report
+    return _run(window_signals(y, cfg.window_len), cfg)
 
 
 def fit_static(y, cfg: SolverConfig):
     """Learn a single graph over the whole record.
 
-    This is :func:`fit_dynamic` on one window that spans the record
+    The solver loop runs on one window that spans the record
     (``cfg.window_len`` is ignored), so the temporal coupling never appears.
     Returns (weights, x, report) with ``weights`` of shape (n_edges,) and
     ``x`` the denoised (n_nodes, n_samples) record.
     """
-    y = as_signal_matrix(y)
-    w_seq, x_windows, report = fit_dynamic(y, replace(cfg, window_len=y.shape[1]))
+    w_seq, x_windows, report = _run(as_signal_matrix(y)[np.newaxis], cfg)
     return w_seq[0], x_windows[0], report

@@ -22,8 +22,8 @@ __all__ = ["ScenarioSpec", "GroundTruth", "generate", "edge_f1", "change_profile
 class ScenarioSpec:
     """Parameters of a synthetic piecewise-constant graph scenario."""
 
-    n_nodes: int
-    k_true: int
+    n_nodes: int = 20
+    k_true: int = 19
     n_segments: int = 2
     windows_per_segment: int = 4
     window_len: int = 100

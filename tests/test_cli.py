@@ -1,6 +1,9 @@
 import codecs
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -298,6 +301,22 @@ class TestRun:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_rule_sized_tau1_is_not_blamed(self, tmp_path, capsys):
+        # the objective's smoothness and energy sums overflow (inf - inf) at
+        # iteration 2; the gradient rule sized tau1, so the hint names the
+        # scale and eta only
+        data = np.random.default_rng(0).normal(size=(4, 20))
+        data[0] *= 10**152.5
+        path = self._write_signals(tmp_path, data)
+        code = run(["--mode", "dynamic", "--input", str(path),
+                    "--out", str(tmp_path / "o"), "--k", "3", "--eta", "0.3",
+                    "--gamma", "0.01", "--window-len", "10", "--max-iter", "20"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "objective became non-finite" in err
+        assert "rescale the input or reduce eta" in err and "tau1" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_budget_is_usage_error(self, tmp_path):
         path = self._write_signals(tmp_path)
         assert run(["--mode", "static", "--input", str(path),
@@ -452,6 +471,8 @@ class TestRun:
         out = capsys.readouterr().out
         assert "tvglearn" in out
         assert "--z-mode" not in out and "--dual-sign" not in out
+        # the synth scenario's defaults are ScenarioSpec's, printed as its others
+        assert "ScenarioSpec.n_nodes=20" in out and "ScenarioSpec.k_true=19" in out
 
     def test_dynamic_fit_writes_all_windows(self, tmp_path):
         path = self._write_signals(tmp_path)
@@ -686,6 +707,21 @@ class TestRun:
         assert truth["boundaries"] == []
         # noise_sigma=0 makes the noisy and clean records identical
         assert (out / "signals.csv").read_bytes() == (out / "clean.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["--help"], 0), (["--mode", "synth"], 1)], ids=["help", "no-out"]
+)
+def test_module_entry_point_exits_with_the_run_code(tmp_path, args, code):
+    # python -m tvglearn goes through cli.main, which exits with run()'s code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tvglearn", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert ("usage: tvglearn" in proc.stdout) if code == 0 else ("--out" in proc.stderr)
+    assert list(tmp_path.iterdir()) == []
 
 
 CONFIG_KEYS = {

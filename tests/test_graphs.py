@@ -284,3 +284,5 @@ class TestWindowing:
             graphs.as_signal_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             graphs.as_signal_matrix(np.zeros(5))
+        with pytest.raises(ValueError, match="no samples"):
+            graphs.as_signal_matrix(np.zeros((3, 0)))

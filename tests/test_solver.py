@@ -431,7 +431,7 @@ class TestFits:
 
     @pytest.mark.parametrize("window_len", [None, 200])
     def test_static_is_dynamic_on_one_whole_window(self, window_len):
-        # fit_static ignores cfg.window_len and runs fit_dynamic with one
+        # fit_static ignores cfg.window_len and runs the solver loop on one
         # window that spans the record
         y, cfg = _reference_scenario(25)
         cfg = replace(cfg, window_len=window_len)
@@ -461,6 +461,11 @@ class TestFits:
     def test_window_len_required_for_dynamic(self):
         with pytest.raises(ValueError):
             fit_dynamic(np.zeros((3, 10)), SolverConfig(k_budget=1.0))
+
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    def test_record_without_samples_rejected(self, fit):
+        with pytest.raises(ValueError, match="no samples"):
+            fit(np.zeros((3, 0)), SolverConfig(k_budget=1.0, window_len=4))
 
     def test_infeasible_budget_detected(self):
         cfg = SolverConfig(k_budget=10.0, window_len=5)
@@ -499,22 +504,64 @@ class TestFits:
 
     @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
     @pytest.mark.parametrize(
-        "scale, shape, window_len, eta",
-        [(10**153.3, (3, 16), 8, 0.45), (10**153.375, (12, 10), 5, 0.0)],
-        ids=["gradient", "step"],
+        "scale, shape, window_len, eta, tau1",
+        [
+            (10**153.3, (3, 16), 8, 0.45, None),
+            (10**153.375, (12, 10), 5, 0.0, None),
+            (1.0, (4, 20), 10, 0.0, 1e308),
+        ],
+        ids=["gradient", "initial-objective", "step"],
     )
     def test_overflowing_step_diverges_without_a_warning(
-        self, fit, scale, shape, window_len, eta
+        self, fit, scale, shape, window_len, eta, tau1
     ):
         # the initial objective of a record near 1e153 can be finite while a
-        # later X-update, W-gradient or W step overflows: the first dynamic
-        # case overflows the gradient, the second the step tau1 * G
+        # later X-update, W-gradient or W step overflows.  The first case
+        # overflows the second dynamic step's gradient (the static fit's one
+        # window already overflows the initial objective); the second
+        # overflows the initial objective in both fits; the third, at unit
+        # scale, overflows the first step tau1 * G through the set tau1
         y = scale * np.random.default_rng(0).normal(size=shape)
-        cfg = SolverConfig(k_budget=1.0, window_len=window_len, eta=eta, max_iter=30)
+        cfg = SolverConfig(
+            k_budget=1.0, window_len=window_len, eta=eta, tau1=tau1, max_iter=30
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match="non-finite"):
                 fit(y, cfg)
+
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    @pytest.mark.parametrize(
+        "scale, cfg, where, hint",
+        [
+            # the gradient rule sized tau1; what overflows is the objective's
+            # smoothness and energy sums (inf - inf), and eta weights one
+            (
+                10**152.5,
+                SolverConfig(
+                    k_budget=3.0, eta=0.3, gamma=0.01, window_len=10, max_iter=20
+                ),
+                "objective became non-finite at iteration 2",
+                "rescale the input or reduce eta",
+            ),
+            # the set tau1 overflows the step tau1 * G, and eta is 0
+            (
+                1.0,
+                SolverConfig(k_budget=1.0, window_len=10, tau1=1e308, max_iter=5),
+                "W-gradient step became non-finite at iteration 1",
+                "rescale the input or set a smaller tau1",
+            ),
+        ],
+        ids=["rule-sized-tau1", "zero-eta"],
+    )
+    def test_divergence_hint_names_only_the_knobs_in_play(
+        self, fit, scale, cfg, where, hint
+    ):
+        y = np.random.default_rng(0).normal(size=(4, 20))
+        y[0] *= scale
+        with pytest.raises(DivergenceError, match=where) as raised:
+            fit(y, cfg)
+        assert str(raised.value).endswith("; " + hint)
 
     def test_eta_bound_warning(self):
         cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=5)
