@@ -96,7 +96,9 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
 
     An edge survives a trial when its weight is at least ``prob_threshold``
     (weights read as connection probabilities); it enters the consensus
-    graph when its trial count strictly exceeds ``count_threshold``.
+    graph when its trial count strictly exceeds ``count_threshold``.  No
+    trial graph, graphs with no edges, or a non-finite weight raise
+    ValueError.
     """
     if not np.isfinite(prob_threshold):
         raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
@@ -106,6 +108,8 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
         raise ValueError("non-finite value in the input")
     if graphs.shape[0] < 1:
         raise ValueError("need at least one trial graph")
+    if graphs.shape[1] < 1:
+        raise ValueError("trial graphs need at least one edge")
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)
     kept = (counts > count_threshold).astype(np.int64)
     return ConsensusGraph(

@@ -72,7 +72,9 @@ def as_signal_matrix(values) -> np.ndarray:
 def window_signals(y, window_len: int) -> np.ndarray:
     """Split a (n, t) record into (b, n, window_len) blocks.
 
-    Trailing samples that do not fill a window are dropped.
+    Trailing samples that do not fill a window are dropped.  The blocks are
+    a view of the validated record, not a copy: for a float64 record,
+    writing into them writes into the record.
     """
     y = as_signal_matrix(y)
     check_integer("window_len", window_len)
@@ -84,10 +86,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
         raise ValueError(
             f"record of {t} samples is shorter than one window ({window_len})"
         )
-    trimmed = y[:, : b * window_len]
-    return np.ascontiguousarray(
-        trimmed.reshape(n, b, window_len).transpose(1, 0, 2)
-    )
+    return y[:, : b * window_len].reshape(n, b, window_len).transpose(1, 0, 2)
 
 
 def _as_edge_vector(weights) -> tuple[np.ndarray, int]:

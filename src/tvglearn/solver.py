@@ -12,6 +12,8 @@ empty.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -53,6 +55,18 @@ __all__ = [
 # of the 72 fits at max_iter, and smaller C1 converge more slowly.
 C1 = 20.0
 C2 = 0.02
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for the function calling this one,
+    that names the first frame outside the package: the user's call."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -142,7 +156,7 @@ class SolverConfig:
             warnings.warn(
                 f"eta={self.eta} violates the sufficient bound "
                 f"eta*(n-1) < 1; the X update may lose positive definiteness",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     def to_dict(self) -> dict:
@@ -157,7 +171,9 @@ class SolverConfig:
 class SolverState:
     """Primal, splitting and dual variables plus iteration diagnostics."""
 
-    x: np.ndarray  # (b, n, s) denoised signals
+    # (b, n, s) denoised signals; None only inside _run, between steps,
+    # where dropping the last stack lets the next step reuse its memory
+    x: np.ndarray | None
     w: np.ndarray  # (b, m) edge weights
     z: np.ndarray  # (b-1, m) splitting variables
     beta: np.ndarray  # (b-1, m) dual variables
@@ -280,8 +296,12 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
 
 
 def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
-    """One full iteration over all windows; returns the advanced state."""
-    x_new = np.empty_like(state.x)
+    """One full iteration over all windows; returns the advanced state.
+
+    The new X depends on Y and W alone, so ``state.x`` is never read and
+    may be None.
+    """
+    x_new = np.empty(y_windows.shape)
     for t in range(state.n_windows):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
     raw = grad_w(x_new, state.beta, cfg)
@@ -349,11 +369,15 @@ def _finite_objective(
 def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     b, n, _ = y_windows.shape
     m = n_edges(n)
-    x0 = y_windows.copy()
     w0 = np.full((b, m), cfg.k_budget / m)
-    obj0 = _finite_objective(y_windows, x0, w0, cfg, 0)
+    obj0 = _finite_objective(y_windows, y_windows, w0, cfg, 0)
+    # X starts at Y itself: no step writes into the X it is given
     return SolverState(
-        x=x0, w=w0, z=np.zeros((b - 1, m)), beta=np.zeros((b - 1, m)), objective=obj0
+        x=y_windows,
+        w=w0,
+        z=np.zeros((b - 1, m)),
+        beta=np.zeros((b - 1, m)),
+        objective=obj0,
     )
 
 
@@ -374,6 +398,7 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
         state = _initial_state(y_windows, cfg)
         while state.iteration < cfg.max_iter:
             previous = state.objective
+            state.x = None  # step never reads it; freed, its memory is reused
             state = step(state, y_windows, cfg)
             if _converged(state, previous, cfg):
                 converged = True

@@ -134,6 +134,13 @@ class TestConsensus:
         with pytest.raises(ValueError, match="at least one trial graph"):
             consensus(np.zeros((0, 3)), prob_threshold=0.5, count_threshold=0)
 
+    @pytest.mark.parametrize(
+        "graphs", [[], np.zeros((2, 0))], ids=["empty list", "no edges"]
+    )
+    def test_graphs_without_edges_rejected(self, graphs):
+        with pytest.raises(ValueError, match="at least one edge"):
+            consensus(graphs, prob_threshold=0.5, count_threshold=0)
+
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 1.5, True])
     def test_non_integer_count_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="count_threshold must be an integer"):

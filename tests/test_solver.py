@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -568,6 +569,23 @@ class TestFits:
         with pytest.warns(UserWarning):
             cfg.validate_for(3)
 
+    @pytest.mark.parametrize("call", ["fit_static", "fit_dynamic", "validate_for"])
+    def test_eta_bound_warning_points_at_the_caller(self, call):
+        # the warning names the line that called into the package, not the
+        # package line that checks the bound
+        y = np.random.default_rng(0).normal(size=(3, 20))
+        cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=10, max_iter=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if call == "fit_static":
+                fit_static(y, cfg)
+            elif call == "fit_dynamic":
+                fit_dynamic(y, cfg)
+            else:
+                cfg.validate_for(3)
+        assert [w.category for w in caught] == [UserWarning]
+        assert caught[0].filename == __file__
+
     def test_mode_flags_validated(self):
         # the paper-literal Z iteration and dual descent are not offered
         for removed in ("z_update_mode", "dual_sign"):
@@ -619,6 +637,49 @@ class TestFits:
         with pytest.raises(ValueError, match="tau2"):
             SolverConfig(k_budget=2.0, tau2=tau2, lam=lam)
         SolverConfig(k_budget=2.0, tau2=np.nextafter(2.0 / lam, 0.0), lam=lam)
+
+
+class TestMemory:
+    """A fit holds the caller's record plus one X stack: the windows are
+    views of the record, X starts at Y, and each step's X replaces the last."""
+
+    @pytest.mark.parametrize("fit, bound", [(fit_dynamic, 2.0), (fit_static, 2.5)])
+    def test_fit_allocation_peak(self, fit, bound):
+        y, cfg = _reference_scenario(25)
+        cfg = replace(cfg, max_iter=5)
+        fit(y, cfg)  # warm-up: module caches are not part of a fit's cost
+        tracemalloc.start()
+        try:
+            fit(y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the returned X stack alone is one record's worth
+        assert peak < bound * y.nbytes
+
+    @pytest.mark.parametrize("n_samples", [1600, 1537])
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    def test_fit_leaves_the_record_unchanged(self, fit, n_samples):
+        y, cfg = _reference_scenario(25)
+        y = np.ascontiguousarray(y[:, :n_samples])
+        before = y.copy()
+        _, x, _ = fit(y, replace(cfg, max_iter=5))
+        np.testing.assert_array_equal(y, before)
+        assert not np.shares_memory(x, y)
+
+    def test_windows_are_views_of_the_record(self):
+        y = np.random.default_rng(3).normal(size=(4, 50))
+        blocks = window_signals(y, 12)
+        assert np.shares_memory(blocks, y)
+
+    def test_step_does_not_read_x(self):
+        rng = np.random.default_rng(8)
+        y = rng.normal(size=(3, 6, 10))
+        cfg = SolverConfig(k_budget=4.0, window_len=10, gamma=0.3, eta=0.05)
+        state = step(_initial_state(y, cfg), y, cfg)
+        a, b = step(state, y, cfg), step(replace(state, x=None), y, cfg)
+        for f in fields(SolverState):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
 def _reference_scenario(seed):
