@@ -26,9 +26,7 @@ class ConsensusGraph:
     """Edge retention counts across trials and the thresholded result."""
 
     counts: np.ndarray  # per-edge number of trials retaining the edge
-    kept: np.ndarray  # 0/1, kept iff count strictly exceeds count_threshold
-    prob_threshold: float
-    count_threshold: int
+    kept: np.ndarray  # 0/1, kept iff count > the call's count_threshold
 
 
 def _row_correlations(x, flat_warning: str) -> np.ndarray:
@@ -112,12 +110,7 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
         raise ValueError("trial graphs need at least one edge")
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)
     kept = (counts > count_threshold).astype(np.int64)
-    return ConsensusGraph(
-        counts=counts,
-        kept=kept,
-        prob_threshold=prob_threshold,
-        count_threshold=count_threshold,
-    )
+    return ConsensusGraph(counts=counts, kept=kept)
 
 
 def graph_correlation_matrix(w_seq) -> np.ndarray:

@@ -46,7 +46,7 @@ from .graphs import edge_pairs, n_nodes_for_edges
 from .solver import SolverConfig, fit_dynamic, fit_static
 from .synthetic import ScenarioSpec, generate
 
-__all__ = ["ingest_csv", "emit_results", "run", "main"]
+__all__ = ["ingest_csv", "run", "main"]
 
 # The flags and config-file keys are the SolverConfig and ScenarioSpec field
 # names ("--window-len" sets window_len) except these: field -> option name.
@@ -282,24 +282,24 @@ def _pgm(corr: np.ndarray) -> bytes:
     return header + pixels.tobytes()
 
 
-def _write(out_dir, files: dict) -> list[Path]:
+def _write(out_dir, files: dict) -> None:
     """Create ``out_dir`` and write each name -> text or bytes into it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, content in files.items():
         path = out / name
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
-        written.append(path)
-    return written
 
 
 def _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode) -> dict:
-    w_seq = np.asarray(w_seq, dtype=np.float64)
-    x_windows = np.asarray(x_windows, dtype=np.float64)
+    """The fixed fit output set, file name -> text.
+
+    ``w_seq`` is the (b, m) stack of window graphs and ``x_windows`` the
+    (b, n, s) stack of denoised windows, with b = 1 for a static fit.
+    """
     files = {
         f"graph_{t}.csv": _edge_csv("i,j,w", [f"{v:.9g}" for v in w])
         for t, w in enumerate(w_seq, start=1)
@@ -321,15 +321,6 @@ def _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode) -> dict:
         **report.to_dict(),
     })
     return files
-
-
-def emit_results(w_seq, x_windows, report, out_dir, solver_cfg, seed, mode) -> list[Path]:
-    """Write the fixed fit output set; returns the created paths.
-
-    ``w_seq`` is the (b, m) stack of window graphs and ``x_windows`` the
-    (b, n, s) stack of denoised windows, with b = 1 for a static fit.
-    """
-    return _write(out_dir, _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode))
 
 
 def _cmd_fit(opts: dict) -> dict:
@@ -369,12 +360,28 @@ def _cmd_synth(opts: dict) -> dict:
 
 
 def _graph_files(directory: Path) -> list[Path]:
-    files = []
-    for path in directory.glob("graph_*.csv"):
-        stem = path.stem.split("_", 1)[1]
-        if stem.isdigit():
-            files.append((int(stem), path))
-    return [p for _, p in sorted(files)]
+    """The ``graph_<t>.csv`` files of ``directory`` in window order.
+
+    Their numbers must be exactly 1..T, or the windows of two directories
+    would be paired wrongly: a gap, a repeat (``graph_1.csv`` next to
+    ``graph_01.csv``) or a window 0 raises DataError naming the first.
+    """
+    numbered = sorted(
+        (int(stem), path)
+        for path in directory.glob("graph_*.csv")
+        if (stem := path.stem.split("_", 1)[1]).isdecimal()
+    )
+    for t, (number, path) in enumerate(numbered, start=1):
+        if number > t:
+            problem = f"window {t} is missing"
+        elif number == 0:
+            problem = f"{path.name} is window 0"
+        elif number < t:
+            problem = f"{numbered[t - 2][1].name} and {path.name} are both window {number}"
+        else:
+            continue
+        raise DataError(f"{directory}: graph_<t>.csv files must number 1..T; {problem}")
+    return [p for _, p in numbered]
 
 
 def _read_graph_stack(files) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Graphs are stored as upper-triangular edge vectors: a graph on ``n`` nodes is
 a length ``m = n*(n-1)/2`` vector ``w`` whose entries follow row-major
-upper-triangular order (0,1), (0,2), ..., (0,n-1), (1,2), ...  Dense weight,
-degree and Laplacian matrices are assembled on demand.
+upper-triangular order (0,1), (0,2), ..., (0,n-1), (1,2), ...  Dense weight
+and Laplacian matrices are assembled on demand.
 
 Signals are plain 2-D float arrays with one row per node; a windowed record
 is a 3-D array of shape (n_windows, n_nodes, window_len).
@@ -25,8 +25,6 @@ __all__ = [
     "as_signal_matrix",
     "window_signals",
     "weight_matrix",
-    "degrees",
-    "degree_matrix",
     "laplacian",
     "smoothness_term",
     "energy_penalty_term",
@@ -104,16 +102,6 @@ def weight_matrix(weights) -> np.ndarray:
     mat = mat.reshape(n, n)
     mat += mat.T
     return mat
-
-
-def degrees(weights) -> np.ndarray:
-    """Per-node degree vector d_i = sum_j w_ij."""
-    return weight_matrix(weights).sum(axis=1)
-
-
-def degree_matrix(weights) -> np.ndarray:
-    """Diagonal degree matrix D(W)."""
-    return np.diag(degrees(weights))
 
 
 def laplacian(weights) -> np.ndarray:

@@ -4,19 +4,21 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvglearn.cli import (
+    _CLI_DEFAULTS,
     _OPTIONS,
     _RENAMED,
     _build_parser,
-    _read_graph_csv,
+    _fit_files,
     _pgm,
-    emit_results,
+    _read_graph_csv,
+    _write,
     ingest_csv,
     run,
 )
@@ -103,7 +105,7 @@ class TestEmit:
         cfg = SolverConfig(k_budget=1.0, window_len=4)
         w = np.array([[0.5, 0.25, 0.25]])
         x = np.zeros((1, 3, 4))
-        emit_results(w, x, self._report(), tmp_path, cfg, seed=0, mode="static")
+        _write(tmp_path, _fit_files(w, x, self._report(), cfg, seed=0, mode="static"))
         graph_text = (tmp_path / "graph_1.csv").read_text()
         assert graph_text == "i,j,w\n1,2,0.5\n1,3,0.25\n2,3,0.25\n"
         assert not (tmp_path / "graph_2.csv").exists()
@@ -119,7 +121,7 @@ class TestEmit:
         rng = np.random.default_rng(0)
         w = rng.uniform(size=(2, 10))
         x = np.zeros((2, 5, 2))
-        emit_results(w, x, self._report([1.0]), tmp_path, cfg, seed=0, mode="dynamic")
+        _write(tmp_path, _fit_files(w, x, self._report([1.0]), cfg, seed=0, mode="dynamic"))
         back = _read_graph_csv(tmp_path / "graph_2.csv")
         np.testing.assert_allclose(back, w[1], rtol=1e-8)
 
@@ -364,6 +366,32 @@ class TestRun:
         assert str(directory) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["analyze", "consensus"])
+    @pytest.mark.parametrize("numbers, problem", [
+        (["1", "3"], "window 2 is missing"),
+        (["2", "3"], "window 1 is missing"),
+        (["1", "01", "2"], "graph_01.csv and graph_1.csv are both window 1"),
+        (["1", "\u0661", "2"], "graph_1.csv and graph_\u0661.csv are both window 1"),
+        (["0", "1", "2"], "graph_0.csv is window 0"),
+    ], ids=["gap", "no-first", "leading-zero", "arabic-indic-digit", "zero"])
+    def test_graph_numbering_gap_or_repeat_is_data_error(
+        self, tmp_path, capsys, mode, numbers, problem
+    ):
+        # trial "a" has windows 1-3; trial "b", numbered otherwise, would
+        # pair some window of its own with the wrong window of "a"
+        root = tmp_path / "in"
+        for t in (1, 2, 3):
+            self._write_graph(root / "a", t, 3)
+        bad = root / "b"
+        for t in numbers:
+            self._write_graph(bad, t, 3)
+        directory = root if mode == "consensus" else bad
+        assert run(["--mode", mode, "--input", str(directory),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: graph_<t>.csv files must number 1..T; {problem}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _write_graph(directory, t, n):
         directory.mkdir(parents=True, exist_ok=True)
@@ -473,6 +501,17 @@ class TestRun:
         assert "--z-mode" not in out and "--dual-sign" not in out
         # the synth scenario's defaults are ScenarioSpec's, printed as its others
         assert "ScenarioSpec.n_nodes=20" in out and "ScenarioSpec.k_true=19" in out
+
+    def test_help_prints_every_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        for cls in (SolverConfig, ScenarioSpec):
+            for f in fields(cls):
+                if f.default is not MISSING:
+                    assert f"{cls.__name__}.{f.name}={f.default!r}" in text
+        for value in _CLI_DEFAULTS.values():
+            assert f"(default {value})" in text
 
     def test_dynamic_fit_writes_all_windows(self, tmp_path):
         path = self._write_signals(tmp_path)
@@ -615,10 +654,9 @@ class TestRun:
         cfg = SolverConfig(k_budget=1.0, window_len=4)
         report = FitReport(True, 1, 0.0, 0.0, ())
         for trial, w in enumerate(([0.9, 0.1, 0.0], [0.8, 0.6, 0.0], [0.7, 0.0, 0.2])):
-            emit_results(
-                np.array([w]), np.zeros((1, 3, 4)), report,
-                tmp_path / "trials" / f"t{trial}", cfg, seed=0, mode="dynamic",
-            )
+            _write(tmp_path / "trials" / f"t{trial}", _fit_files(
+                np.array([w]), np.zeros((1, 3, 4)), report, cfg, seed=0, mode="dynamic",
+            ))
         out = tmp_path / "consensus"
         assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
                     "--out", str(out), "--prob-threshold", "0.5",
@@ -633,8 +671,10 @@ class TestRun:
     def test_non_finite_prob_threshold_is_usage_error(self, tmp_path, capsys, threshold):
         cfg = SolverConfig(k_budget=1.0, window_len=4)
         report = FitReport(True, 1, 0.0, 0.0, ())
-        emit_results(np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report,
-                     tmp_path / "trials" / "t0", cfg, seed=0, mode="dynamic")
+        _write(tmp_path / "trials" / "t0", _fit_files(
+            np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report, cfg, seed=0,
+            mode="dynamic",
+        ))
         out = tmp_path / "consensus"
         assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
                     "--out", str(out), "--prob-threshold", threshold]) == 1
@@ -663,8 +703,10 @@ class TestRun:
         # would lose to argparse
         cfg = SolverConfig(k_budget=1.0, window_len=4)
         report = FitReport(True, 1, 0.0, 0.0, ())
-        emit_results(np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report,
-                     tmp_path / "trials" / "t0", cfg, seed=0, mode="dynamic")
+        _write(tmp_path / "trials" / "t0", _fit_files(
+            np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report, cfg, seed=0,
+            mode="dynamic",
+        ))
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("prob_threshold=-5e-1\ncount_threshold=0\n")
         out = tmp_path / "consensus"

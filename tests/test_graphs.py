@@ -52,13 +52,6 @@ class TestLaplacian:
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-15)
         assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
-    def test_degree_matrix(self):
-        np.testing.assert_array_equal(graphs.degree_matrix([0.0]), np.zeros((2, 2)))
-        np.testing.assert_array_equal(graphs.degree_matrix([1.0]), np.eye(2))
-        np.testing.assert_allclose(
-            np.diag(graphs.degree_matrix([0.5, 0.0, 0.25])), [0.5, 0.75, 0.25]
-        )
-
     def test_random_laplacians_symmetric_psd(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 8):
@@ -70,7 +63,6 @@ class TestLaplacian:
             np.testing.assert_allclose(lap, oracles.dense_laplacian(w), atol=1e-15)
             dense = oracles.dense_weight_matrix(w)
             np.testing.assert_array_equal(graphs.weight_matrix(w), dense)
-            np.testing.assert_allclose(graphs.degrees(w), dense.sum(axis=1), rtol=1e-14)
 
 
 class TestTerms:
