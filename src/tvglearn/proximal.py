@@ -13,11 +13,16 @@ def soft_threshold(a, s):
     """Shrink ``a`` toward zero by ``s >= 0``: sign(a) * max(|a| - s, 0).
 
     Evaluated as a minus its clip to [-s, s]: the same values up to the sign
-    of zeros, in three array passes.
+    of zeros, in three array passes over one new buffer; ``a`` is not
+    written.
     """
     check_finite("threshold s", s)
     a = np.asarray(a, dtype=np.float64)
-    return a - np.minimum(np.maximum(a, -s), s)
+    out = np.empty_like(a)  # an array even for a scalar ``a``, so out= works
+    np.maximum(a, -s, out=out)
+    np.minimum(out, s, out=out)
+    np.subtract(a, out, out=out)
+    return out[()]  # a scalar for a scalar ``a``, as a ufunc returns
 
 
 def prox_l1_linear(v, alpha: float, beta, lam: float):
@@ -36,4 +41,7 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != v.shape:
         raise ValueError(f"beta shape {beta.shape} does not match v {v.shape}")
-    return soft_threshold(v - lam * beta, lam * alpha)
+    shifted = np.empty_like(v)  # the one buffer; v and beta are not written
+    np.multiply(beta, lam, out=shifted)
+    np.subtract(v, shifted, out=shifted)
+    return soft_threshold(shifted, lam * alpha)

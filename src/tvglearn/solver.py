@@ -3,8 +3,9 @@
 Each iteration runs, in order and for every window: a closed-form update of
 the denoised signals X_t, a projected gradient step on the edge weights W_t
 (the gradients of all windows come from one call, and their steps are
-projected in one call), a proximal update of the splitting variables Z_t that
-stand in for W_t - W_{t+1}, and a dual ascent step on the multipliers beta_t.
+projected in one call), the objective at the new X and W, a proximal update
+of the splitting variables Z_t that stand in for W_t - W_{t+1}, and a dual
+ascent step on the multipliers beta_t.
 A static fit is a dynamic fit on a single window, whose Z and beta stacks are
 empty.
 """
@@ -320,13 +321,18 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
     w_new, kappa = proj.projected, proj.kappa
     del raw, proj  # spent; freeing them lowers the step's peak memory
+    # the objective reads Y, X and W alone: evaluated right after the
+    # projection, before the new Z and beta exist, its temporaries never
+    # meet two generations of them
+    obj = _finite_objective(y_windows, x_new, w_new, cfg, state.iteration + 1)
 
     diff = w_new[:-1] - w_new[1:]  # (b-1, m); empty for one window
     z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
-    gap = z_new - diff  # the splitting residual Z - (W_t - W_{t+1})
-    beta_new = state.beta + tau2 * gap
+    # the splitting residual Z - (W_t - W_{t+1}), in the spent diff's buffer
+    gap = np.subtract(z_new, diff, out=diff)
+    beta_new = np.multiply(gap, tau2)
+    beta_new += state.beta
     residual = float(np.abs(gap, out=gap).max(initial=0.0))
-    del gap  # spent; held through the objective it raises the step's peak memory
 
     return SolverState(
         x=x_new,
@@ -334,7 +340,7 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         z=z_new,
         beta=beta_new,
         iteration=state.iteration + 1,
-        objective=_finite_objective(y_windows, x_new, w_new, cfg, state.iteration + 1),
+        objective=obj,
         residual=residual,
         kappa=kappa,
         steps=(tau1, tau2),

@@ -75,10 +75,13 @@ class GroundTruth:
     window_len: int
 
     def segment_of_window(self, t: int) -> int:
-        windows_per_segment = (
-            self.signals.shape[1] // self.window_len
-        ) // self.segments.shape[0]
-        return t // windows_per_segment
+        """The segment that generated window ``t``; ValueError for a ``t``
+        that is not an integer in [0, n_windows)."""
+        check_integer("t", t)
+        n_windows = self.signals.shape[1] // self.window_len
+        if not 0 <= t < n_windows:
+            raise ValueError(f"window {t} outside [0, {n_windows})")
+        return t // (n_windows // self.segments.shape[0])
 
 
 def generate(spec: ScenarioSpec) -> GroundTruth:
@@ -115,8 +118,9 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
             )
     clean[zero_mask] = 0.0
 
-    noise = rng.standard_normal(clean.shape)
-    signals = clean + spec.noise_sigma * noise
+    signals = rng.standard_normal(clean.shape)  # the noise, scaled in place
+    signals *= spec.noise_sigma
+    signals += clean
 
     boundaries = tuple(
         s * spec.windows_per_segment - 1 for s in range(1, spec.n_segments)

@@ -108,6 +108,14 @@ class TestConsensus:
         np.testing.assert_array_equal(result.counts, [1, 0, 1])
         np.testing.assert_array_equal(result.kept, [1, 0, 1])
 
+    def test_one_graph_is_one_trial(self):
+        result = consensus([0.6, 0.4, 0.5], prob_threshold=0.5, count_threshold=0)
+        np.testing.assert_array_equal(result.counts, [1, 0, 1])
+
+    def test_stack_of_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n_trials, n_edges\) graph stack"):
+            consensus(np.ones((2, 3, 4)), prob_threshold=0.5, count_threshold=1)
+
     def test_unanimous_trials_survive_count_threshold(self):
         graphs = np.ones((20, 4))
         result = consensus(graphs, prob_threshold=0.5, count_threshold=5)

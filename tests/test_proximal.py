@@ -49,6 +49,33 @@ class TestSoftThreshold:
             assert np.array_equal(new, old, equal_nan=True), s
 
 
+class TestPurity:
+    """Both helpers return a new array and never write into their arguments."""
+
+    def test_soft_threshold_leaves_its_argument(self):
+        a = np.random.default_rng(6).normal(size=(3, 7))
+        before = a.copy()
+        out = soft_threshold(a, 0.5)
+        assert not np.shares_memory(out, a)
+        np.testing.assert_array_equal(a, before)
+
+    def test_prox_leaves_its_arguments(self):
+        rng = np.random.default_rng(7)
+        v, beta = rng.normal(size=(3, 7)), rng.normal(size=(3, 7))
+        v_before, beta_before = v.copy(), beta.copy()
+        out = prox_l1_linear(v, 0.3, beta, 0.7)
+        assert not np.shares_memory(out, v) and not np.shares_memory(out, beta)
+        np.testing.assert_array_equal(v, v_before)
+        np.testing.assert_array_equal(beta, beta_before)
+
+    @pytest.mark.parametrize("scalar", [float, np.array], ids=["float", "0-d array"])
+    def test_scalars_are_accepted_and_left(self, scalar):
+        a, v, beta = scalar(-3.0), scalar(2.0), scalar(1.0)
+        assert soft_threshold(a, 1.0) == -2.0
+        assert prox_l1_linear(v, 0.5, beta, 1.0) == 0.5
+        assert (a, v, beta) == (-3.0, 2.0, 1.0)
+
+
 class TestProx:
     def test_origin(self):
         out = prox_l1_linear(np.zeros(4), 2.0, np.zeros(4), 0.5)

@@ -648,14 +648,27 @@ class TestMemory:
         y, cfg = _reference_scenario(25)
         cfg = replace(cfg, max_iter=5)
         fit(y, cfg)  # warm-up: module caches are not part of a fit's cost
-        tracemalloc.start()
-        try:
-            fit(y, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(fit, y, cfg)
         # the returned X stack alone is one record's worth
         assert peak < bound * y.nbytes
+
+    def test_wide_fit_holds_one_generation_of_step_temporaries(self):
+        # at n=100 each (b-1, m) stack of Z or beta is a fifth of the record:
+        # the peak is 2.58 records with the objective evaluated before the
+        # dual update and a one-buffer prox, 3.11 with the objective after it
+        y = generate(_wide_spec()).signals
+        cfg = SolverConfig(k_budget=99.0, window_len=200, gamma=0.01, alpha=0.1,
+                           max_iter=3)
+        fit_dynamic(y, cfg)  # warm-up
+        _, peak = _traced_peak(fit_dynamic, y, cfg)
+        assert peak < 2.85 * y.nbytes
+
+    def test_generate_holds_the_record_and_its_clean_version(self):
+        # 2.22 records with the noise scaled in place, 3.22 with a noise
+        # draw and its scaled copy beside the two records
+        generate(_wide_spec())  # warm-up
+        truth, peak = _traced_peak(generate, _wide_spec())
+        assert peak < 2.7 * truth.signals.nbytes
 
     @pytest.mark.parametrize("n_samples", [1600, 1537])
     @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
@@ -680,6 +693,25 @@ class TestMemory:
         a, b = step(state, y, cfg), step(replace(state, x=None), y, cfg)
         for f in fields(SolverState):
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _wide_spec():
+    # the reference layout (8 windows of 200 samples) at n=100
+    return ScenarioSpec(
+        n_nodes=100, k_true=99, n_segments=2, windows_per_segment=4,
+        window_len=200, noise_sigma=0.1, seed=25,
+    )
 
 
 def _reference_scenario(seed):

@@ -100,6 +100,17 @@ class TestGenerate:
         np.testing.assert_array_equal(truth.segments.sum(axis=1), spec.k_true)
         assert truth.boundaries == (2,)
 
+    @pytest.mark.parametrize("t", [-1, 6, 99])
+    def test_segment_of_window_rejects_windows_outside_the_record(self, t):
+        truth = generate(_spec())  # 6 windows
+        with pytest.raises(ValueError, match=rf"window {t} outside \[0, 6\)"):
+            truth.segment_of_window(t)
+
+    @pytest.mark.parametrize("t", [1.0, True])
+    def test_segment_of_window_rejects_a_non_integer_window(self, t):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            generate(_spec()).segment_of_window(t)
+
     def test_zero_nodes_are_silent_and_isolated(self):
         spec = _spec(zero_node_fraction=0.25, noise_sigma=0.0)
         truth = generate(spec)
