@@ -75,12 +75,14 @@ def capped_simplex_project(w, k, tol, start=None):
     row) when it lies strictly inside the initial bracket
     [min(w) - 1, max(w)], and the bracket midpoint otherwise.
 
-    Every step evaluates the shift and the clip on the whole stack; a row
-    that has stopped keeps its kappa, so its values recompute to the same
-    bits.  Each row's bracket bookkeeping runs on Python floats, so every
-    row comes out as it would alone.  When the coordinates at the cap, or
-    those above 0, alone meet the budget, the root is a whole flat stretch
-    and kappa is its midpoint.  A row stopped by the step cap may miss k.
+    Every step evaluates the shift and the clip on the whole stack, in one
+    stack-sized buffer that becomes the result (the last spread of the
+    residual over the interior adds a second one); a row that has stopped
+    keeps its kappa, so its values recompute to the same bits.  Each row's
+    bracket bookkeeping runs on Python floats, so every row comes out as it
+    would alone.  When the coordinates at the cap, or those above 0, alone
+    meet the budget, the root is a whole flat stretch and kappa is its
+    midpoint.  A row stopped by the step cap may miss k.
     Returns the projected point(s), kappa (a float, or a (b,) array for a
     stack) and the total number of root-finding steps over all rows (at
     least 1 per row).
@@ -98,11 +100,14 @@ def capped_simplex_project(w, k, tol, start=None):
 
     rows = list(range(b))  # rows still searching
     shift = np.array(kappa)[:, np.newaxis]  # (b, 1), kept in step with kappa
-    v, out = np.empty_like(stack), np.empty_like(stack)
+    # the one stack-sized buffer of the search: stack - shift, clipped in
+    # place; every test on the unclipped v = stack - shift has an exact
+    # twin on it (v > 0 iff out > 0, v < 1 iff out < 1, v >= 1 iff
+    # out >= 1, v <= 0 iff out <= 0)
+    out = np.empty_like(stack)
     steps = total = 0
     while True:
-        np.subtract(stack, shift, out=v)
-        _clip01(v, out=out)
+        _clip01(np.subtract(stack, shift, out=out), out=out)
         if steps == _MAX_STEPS:  # the step cap ends the search after a move
             break
         steps += 1
@@ -124,7 +129,7 @@ def capped_simplex_project(w, k, tol, start=None):
         if not rows:
             break
         # g falls with slope -n_interior between breakpoints
-        n_interior = np.add.reduce((v > 0.0) & (v < 1.0), 1).tolist()
+        n_interior = np.add.reduce((out > 0.0) & (out < 1.0), 1).tolist()
         for r in rows:
             if n_interior[r]:
                 newton = kappa[r] + g[r] / n_interior[r]
@@ -134,13 +139,13 @@ def capped_simplex_project(w, k, tol, start=None):
             elif g[r] > 0.0:
                 # g is flat, and keeps its sign, up to the nearest
                 # breakpoint toward the root; move that bracket end there
-                lo[r] = float(stack[r][v[r] >= 1.0].min()) - 1.0
+                lo[r] = float(stack[r][out[r] >= 1.0].min()) - 1.0
             else:
-                hi[r] = float(stack[r][v[r] <= 0.0].max())
+                hi[r] = float(stack[r][out[r] <= 0.0].max())
             kappa[r] = shift[r, 0] = 0.5 * (lo[r] + hi[r])
 
-    capped = v >= 1.0
-    interior = (v > 0.0) ^ capped  # every capped coordinate is above 0
+    capped = out >= 1.0
+    interior = (out > 0.0) ^ capped  # every capped coordinate is above 0
     n_interior = np.add.reduce(interior, 1).tolist()
     n_capped = np.add.reduce(capped, 1).tolist()
     total_w = np.add.reduce(out, 1).tolist()
@@ -151,19 +156,18 @@ def capped_simplex_project(w, k, tol, start=None):
             # budget: the root is a whole interval between the nearest
             # breakpoints; take its midpoint (the projected point is the
             # same anywhere on it).
-            w_r, v_r = stack[r], v[r]
-            high = capped[r] if n_capped[r] == k else v_r > 0.0
+            w_r, out_r = stack[r], out[r]
+            high = capped[r] if n_capped[r] == k else out_r > 0.0
             low_max = w_r[~high].max(initial=w_r.min() - 1.0)
             kappa[r] = float(0.5 * (low_max + w_r[high].min() - 1.0))
-            np.subtract(w_r, kappa[r], out=v_r)
-            _clip01(v_r, out=out[r])
-            interior[r] = (v_r > 0.0) & (v_r < 1.0)
+            _clip01(np.subtract(w_r, kappa[r], out=out_r), out=out_r)
+            interior[r] = (out_r > 0.0) & (out_r < 1.0)
             count = np.count_nonzero(interior[r])
             total_w[r] = out[r].sum()
         # Spread the leftover root-finding residual over the interior
         # coordinates; this is an exact shift of kappa in disguise.
         spread.append((k - total_w[r]) / count if count else 0.0)
-    moved = np.add(out, np.array(spread)[:, np.newaxis], out=v)  # v is spent
+    moved = out + np.array(spread)[:, np.newaxis]
     np.copyto(out, _clip01(moved, out=moved), where=interior)
     if w.ndim == 1:
         return out[0], float(kappa[0]), total

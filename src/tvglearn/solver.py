@@ -172,11 +172,11 @@ class SolverConfig:
 class SolverState:
     """Primal, splitting and dual variables plus iteration diagnostics."""
 
-    # (b, n, s) denoised signals; None only inside _run, between steps,
-    # where dropping the last stack lets the next step reuse its memory
-    x: np.ndarray | None
+    # x and z are None only inside _run, between steps: step reads neither,
+    # and dropping them lets the next step reuse their memory
+    x: np.ndarray | None  # (b, n, s) denoised signals
     w: np.ndarray  # (b, m) edge weights
-    z: np.ndarray  # (b-1, m) splitting variables
+    z: np.ndarray | None  # (b-1, m) splitting variables
     beta: np.ndarray  # (b-1, m) dual variables
     iteration: int = 0
     objective: float = math.nan  # at the current iterate; NaN until evaluated
@@ -299,8 +299,8 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
 def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     """One full iteration over all windows; returns the advanced state.
 
-    The new X depends on Y and W alone, so ``state.x`` is never read and
-    may be None.
+    The new X depends on Y and W alone, and the new Z on W and beta, so
+    neither ``state.x`` nor ``state.z`` is read; either may be None.
     """
     x_new = np.empty(y_windows.shape)
     for t in range(state.n_windows):
@@ -328,11 +328,13 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
 
     diff = w_new[:-1] - w_new[1:]  # (b-1, m); empty for one window
     z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
-    # the splitting residual Z - (W_t - W_{t+1}), in the spent diff's buffer
+    # the splitting residual Z - (W_t - W_{t+1}), in the spent diff's buffer;
+    # max |gap| is the larger of |max gap| and |min gap|, so the residual
+    # leaves gap unwritten for the dual step
     gap = np.subtract(z_new, diff, out=diff)
-    beta_new = np.multiply(gap, tau2)
+    residual = float(max(abs(gap.max(initial=0.0)), abs(gap.min(initial=0.0))))
+    beta_new = np.multiply(gap, tau2, out=gap)  # the dual ascent, in gap's buffer
     beta_new += state.beta
-    residual = float(np.abs(gap, out=gap).max(initial=0.0))
 
     return SolverState(
         x=x_new,
@@ -404,7 +406,8 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
         state = _initial_state(y_windows, cfg)
         while state.iteration < cfg.max_iter:
             previous = state.objective
-            state.x = None  # step never reads it; freed, its memory is reused
+            # step reads neither X nor Z; freed, their memory is reused
+            state.x = state.z = None
             state = step(state, y_windows, cfg)
             if _converged(state, previous, cfg):
                 converged = True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,62 @@ class TestPurity:
         assert soft_threshold(a, 1.0) == -2.0
         assert prox_l1_linear(v, 0.5, beta, 1.0) == 0.5
         assert (a, v, beta) == (-3.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_any_memory_layout(self, layout):
+        # both thresholds run over a flat view of their own C-ordered buffer
+        rng = np.random.default_rng(9)
+        v, beta = rng.normal(size=(2, 5, 3000)), rng.normal(size=(2, 5, 3000))
+        if layout == "fortran":
+            a, b = np.asfortranarray(v), np.asfortranarray(beta)
+        else:
+            a, b = v[:, ::2, ::3], beta[:, ::2, ::3]
+        expected = oracles.soft_threshold_sign(np.array(a), 0.5)
+        assert np.array_equal(soft_threshold(a, 0.5), expected)
+        assert np.array_equal(prox_l1_linear(a, 0.5, b, 1.0),
+                              soft_threshold(np.array(a) - np.array(b), 0.5))
+
+
+class TestSignOfZeros:
+    """Every thresholded entry comes out as +0.0, whatever its input's sign."""
+
+    inputs = np.array([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, -5e-324, 5e-324])
+
+    def test_soft_threshold(self):
+        out = soft_threshold(self.inputs, 1.0)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
+    def test_prox(self):
+        zero = np.zeros_like(self.inputs)
+        out = prox_l1_linear(self.inputs, 1.0, zero, 1.0)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
+    def test_stack_larger_than_one_pass(self):
+        # more entries than one chunk of the threshold's scratch
+        a = np.random.default_rng(10).uniform(-1.0, 1.0, size=(7, 4950))
+        a[:, ::2] *= -0.0
+        out = soft_threshold(a, 1.0)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
+
+class TestMemory:
+    """The shift and its threshold share one new buffer; the clip goes
+    through a scratch a fraction of the wide stack's size."""
+
+    @pytest.mark.parametrize("prox", [False, True], ids=["soft_threshold", "prox_l1_linear"])
+    def test_one_buffer(self, prox):
+        # the (b-1, m) stack of an 8-window fit at n=100
+        v, beta = np.random.default_rng(11).normal(size=(2, 7, 4950))
+        f, args = (prox_l1_linear, (0.3, beta, 0.7)) if prox else (soft_threshold, (0.3,))
+        f(v, *args)  # warm-up
+        tracemalloc.start()
+        try:
+            f(v, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.24 stacks; 2.0 with the clip in a second stack
+        assert peak < 1.5 * v.nbytes
 
 
 class TestProx:
