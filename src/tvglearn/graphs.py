@@ -2,8 +2,9 @@
 
 Graphs are stored as upper-triangular edge vectors: a graph on ``n`` nodes is
 a length ``m = n*(n-1)/2`` vector ``w`` whose entries follow row-major
-upper-triangular order (0,1), (0,2), ..., (0,n-1), (1,2), ...  Dense weight
-and Laplacian matrices are assembled on demand.
+upper-triangular order (0,1), (0,2), ..., (0,n-1), (1,2), ...  The dense
+weight matrix is assembled on demand; the X-update builds its Laplacian
+system from it.
 
 Signals are plain 2-D float arrays with one row per node; a windowed record
 is a 3-D array of shape (n_windows, n_nodes, window_len).
@@ -25,7 +26,6 @@ __all__ = [
     "as_signal_matrix",
     "window_signals",
     "weight_matrix",
-    "laplacian",
     "smoothness_term",
     "energy_penalty_term",
     "temporal_variation",
@@ -87,27 +87,17 @@ def window_signals(y, window_len: int) -> np.ndarray:
     return y[:, : b * window_len].reshape(n, b, window_len).transpose(1, 0, 2)
 
 
-def _as_edge_vector(weights) -> tuple[np.ndarray, int]:
+def weight_matrix(weights) -> np.ndarray:
+    """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("edge vector must be 1-D")
-    return w, n_nodes_for_edges(w.shape[0])
-
-
-def weight_matrix(weights) -> np.ndarray:
-    """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
-    w, n = _as_edge_vector(weights)
+    n = n_nodes_for_edges(w.shape[0])
     mat = np.zeros(n * n)
     mat[_kernels.triu_flat(n)] = w
     mat = mat.reshape(n, n)
     mat += mat.T
     return mat
-
-
-def laplacian(weights) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W of an edge vector."""
-    mat = weight_matrix(weights)
-    return np.diag(mat.sum(axis=1)) - mat
 
 
 def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:

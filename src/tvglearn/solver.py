@@ -221,8 +221,9 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     Solves (I + gamma*L(W) - eta*D(W)) X = Y with the Cholesky factor
     A = C C^T as X = (C^-T C^-1) Y: the small (n, n) inverse is formed first,
     so the (n, s) signals go through one product.  The system matrix must be
-    positive definite.  Raises ValueError on a non-finite gamma, eta, weight
-    or signal, and on a system whose assembly would overflow.
+    positive definite; the SingularSystemError raised otherwise names
+    ``window`` when one is given.  Raises ValueError on a non-finite gamma,
+    eta, weight or signal, and on a system whose assembly would overflow.
     """
     if not (math.isfinite(gamma) and math.isfinite(eta)):
         raise ValueError(f"gamma and eta must be finite, got {gamma} and {eta}")
@@ -245,12 +246,12 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     # a is symmetric, so its transpose is the same matrix in Fortran order
     factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
     if info > 0:
-        where = "window ?" if window is None else f"window {window}"
+        where = "" if window is None else f"window {window}: "
         # at eta = 0 the exact system is positive definite, so only a gamma
         # large enough to round away the identity makes it singular
         hint = "gamma" if eta == 0.0 else "eta"
         raise SingularSystemError(
-            f"{where}: I + gamma*L - eta*D is not positive definite "
+            f"{where}I + gamma*L - eta*D is not positive definite "
             f"(try a smaller {hint})",
             window=window,
         )

@@ -35,32 +35,11 @@ class TestEdgeIndexing:
             graphs.weight_matrix(np.zeros((2, 3)))
 
 
-class TestLaplacian:
-    def test_empty_graph(self):
-        assert np.array_equal(graphs.laplacian([0.0]), np.zeros((2, 2)))
-
-    def test_single_edge(self):
-        expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(graphs.laplacian([1.0]), expected)
-
-    def test_three_node_assembly(self):
-        lap = graphs.laplacian([0.5, 0.0, 0.25])
-        expected = np.array(
-            [[0.5, -0.5, 0.0], [-0.5, 0.75, -0.25], [0.0, -0.25, 0.25]]
-        )
-        np.testing.assert_allclose(lap, expected, atol=0)
-        np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-15)
-        assert np.linalg.eigvalsh(lap).min() >= -1e-10
-
-    def test_random_laplacians_symmetric_psd(self):
+class TestWeightMatrix:
+    def test_matches_the_dense_oracle(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 8):
             w = rng.uniform(0.0, 1.0, size=graphs.n_edges(n))
-            lap = graphs.laplacian(w)
-            np.testing.assert_array_equal(lap, lap.T)
-            np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-            assert np.linalg.eigvalsh(lap).min() >= -1e-10
-            np.testing.assert_allclose(lap, oracles.dense_laplacian(w), atol=1e-15)
             dense = oracles.dense_weight_matrix(w)
             np.testing.assert_array_equal(graphs.weight_matrix(w), dense)
 

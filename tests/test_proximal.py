@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvglearn.proximal import prox_l1_linear, soft_threshold
+from tvglearn.proximal import prox_l1_linear
 
 import oracles
 
@@ -12,25 +12,32 @@ def _prox_objective(z, v, alpha, beta, lam):
     return alpha * abs(z) + beta * z + (z - v) ** 2 / (2.0 * lam)
 
 
+def _soft(a, s):
+    """The soft threshold of ``a`` by ``s``: the prox at beta = 0, lam = 1."""
+    return prox_l1_linear(a, s, np.zeros_like(a, dtype=np.float64), 1.0)
+
+
 class TestSoftThreshold:
+    """prox_l1_linear at beta = 0, lam = 1 is sign(a) * max(|a| - s, 0)."""
+
     def test_zero(self):
-        assert soft_threshold(0.0, 1.0) == 0.0
+        assert _soft(0.0, 1.0) == 0.0
 
     def test_odd_symmetry(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
+        assert _soft(3.0, 1.0) == 2.0
+        assert _soft(-3.0, 1.0) == -2.0
 
     def test_dead_zone(self):
-        assert soft_threshold(0.4, 1.0) == 0.0
+        assert _soft(0.4, 1.0) == 0.0
 
     def test_negative_threshold_is_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            soft_threshold(np.ones(3), -0.1)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            _soft(np.ones(3), -0.1)
 
     @pytest.mark.parametrize("s", [np.nan, np.inf])
     def test_non_finite_threshold_is_rejected(self, s):
-        with pytest.raises(ValueError, match="threshold s must be non-negative and finite"):
-            soft_threshold(np.ones(3), s)
+        with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
+            _soft(np.ones(3), s)
 
     @pytest.mark.parametrize("shape", [(7, 190), (3, 4950), (0, 190), (5,)])
     def test_matches_the_sign_formula_on_random_stacks(self, shape):
@@ -39,25 +46,24 @@ class TestSoftThreshold:
             a = scale * rng.normal(size=shape)
             for s in (0.0, 0.5 * scale, scale, float(np.abs(a).max(initial=0.0))):
                 # equal up to the sign of zeros, which array_equal ignores
-                assert np.array_equal(soft_threshold(a, s),
-                                      oracles.soft_threshold_sign(a, s))
+                assert np.array_equal(_soft(a, s), oracles.soft_threshold_sign(a, s))
 
     def test_matches_the_sign_formula_on_edge_values(self):
         a = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
                       np.nextafter(-1.0, -2.0), np.inf, -np.inf, np.nan, 5e-324])
         for s in (0.0, 1.0, 5e-324):
-            new = soft_threshold(a, s)
+            new = _soft(a, s)
             old = oracles.soft_threshold_sign(a, s)
             assert np.array_equal(new, old, equal_nan=True), s
 
 
 class TestPurity:
-    """Both helpers return a new array and never write into their arguments."""
+    """The prox returns a new array and never writes into its arguments."""
 
     def test_soft_threshold_leaves_its_argument(self):
         a = np.random.default_rng(6).normal(size=(3, 7))
         before = a.copy()
-        out = soft_threshold(a, 0.5)
+        out = _soft(a, 0.5)
         assert not np.shares_memory(out, a)
         np.testing.assert_array_equal(a, before)
 
@@ -72,14 +78,14 @@ class TestPurity:
 
     @pytest.mark.parametrize("scalar", [float, np.array], ids=["float", "0-d array"])
     def test_scalars_are_accepted_and_left(self, scalar):
-        a, v, beta = scalar(-3.0), scalar(2.0), scalar(1.0)
-        assert soft_threshold(a, 1.0) == -2.0
+        a, v, beta, zero = scalar(-3.0), scalar(2.0), scalar(1.0), scalar(0.0)
+        assert prox_l1_linear(a, 1.0, zero, 1.0) == -2.0
         assert prox_l1_linear(v, 0.5, beta, 1.0) == 0.5
-        assert (a, v, beta) == (-3.0, 2.0, 1.0)
+        assert (a, v, beta, zero) == (-3.0, 2.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_any_memory_layout(self, layout):
-        # both thresholds run over a flat view of their own C-ordered buffer
+        # the threshold runs over a flat view of the prox's C-ordered buffer
         rng = np.random.default_rng(9)
         v, beta = rng.normal(size=(2, 5, 3000)), rng.normal(size=(2, 5, 3000))
         if layout == "fortran":
@@ -87,9 +93,9 @@ class TestPurity:
         else:
             a, b = v[:, ::2, ::3], beta[:, ::2, ::3]
         expected = oracles.soft_threshold_sign(np.array(a), 0.5)
-        assert np.array_equal(soft_threshold(a, 0.5), expected)
+        assert np.array_equal(_soft(a, 0.5), expected)
         assert np.array_equal(prox_l1_linear(a, 0.5, b, 1.0),
-                              soft_threshold(np.array(a) - np.array(b), 0.5))
+                              oracles.soft_threshold_sign(np.array(a) - np.array(b), 0.5))
 
 
 class TestSignOfZeros:
@@ -98,19 +104,20 @@ class TestSignOfZeros:
     inputs = np.array([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, -5e-324, 5e-324])
 
     def test_soft_threshold(self):
-        out = soft_threshold(self.inputs, 1.0)
+        out = _soft(self.inputs, 1.0)
         assert (out == 0.0).all() and not np.signbit(out).any()
 
     def test_prox(self):
+        # the same threshold lam * alpha = 1 from lam = 2
         zero = np.zeros_like(self.inputs)
-        out = prox_l1_linear(self.inputs, 1.0, zero, 1.0)
+        out = prox_l1_linear(self.inputs, 0.5, zero, 2.0)
         assert (out == 0.0).all() and not np.signbit(out).any()
 
     def test_stack_larger_than_one_pass(self):
         # more entries than one chunk of the threshold's scratch
         a = np.random.default_rng(10).uniform(-1.0, 1.0, size=(7, 4950))
         a[:, ::2] *= -0.0
-        out = soft_threshold(a, 1.0)
+        out = _soft(a, 1.0)
         assert (out == 0.0).all() and not np.signbit(out).any()
 
 
@@ -118,15 +125,15 @@ class TestMemory:
     """The shift and its threshold share one new buffer; the clip goes
     through a scratch a fraction of the wide stack's size."""
 
-    @pytest.mark.parametrize("prox", [False, True], ids=["soft_threshold", "prox_l1_linear"])
-    def test_one_buffer(self, prox):
+    @pytest.mark.parametrize("zero_beta", [True, False], ids=["soft_threshold", "prox_l1_linear"])
+    def test_one_buffer(self, zero_beta):
         # the (b-1, m) stack of an 8-window fit at n=100
         v, beta = np.random.default_rng(11).normal(size=(2, 7, 4950))
-        f, args = (prox_l1_linear, (0.3, beta, 0.7)) if prox else (soft_threshold, (0.3,))
-        f(v, *args)  # warm-up
+        args = (0.3, np.zeros_like(v), 1.0) if zero_beta else (0.3, beta, 0.7)
+        prox_l1_linear(v, *args)  # warm-up
         tracemalloc.start()
         try:
-            f(v, *args)
+            prox_l1_linear(v, *args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -167,6 +174,11 @@ class TestProx:
         args = {"alpha": 0.5, "lam": 1.0, name: value}
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             prox_l1_linear(np.ones(3), args["alpha"], np.zeros(3), args["lam"])
+
+    def test_overflowing_threshold_is_rejected(self):
+        # alpha and lam are finite, their product is not
+        with pytest.raises(ValueError, match=r"lam \* alpha must be non-negative and finite"):
+            prox_l1_linear(np.ones(3), 1e300, np.zeros(3), 1e10)
 
     def test_fixed_point_iff_minimizer(self):
         # when |beta| <= alpha the minimizer of f is 0, so 0 is a fixed point

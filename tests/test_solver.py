@@ -74,6 +74,15 @@ class TestUpdateX:
         assert "window 2" in str(excinfo.value)
         assert excinfo.value.window == 2
 
+    def test_direct_call_names_no_window(self):
+        # I - 2D on a single unit edge has -1 on its diagonal
+        with pytest.raises(SingularSystemError) as excinfo:
+            update_x(np.ones((2, 3)), [1.0], 0.0, 2.0)
+        assert str(excinfo.value) == (
+            "I + gamma*L - eta*D is not positive definite (try a smaller eta)"
+        )
+        assert excinfo.value.window is None
+
     def test_residual_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
@@ -604,8 +613,6 @@ class TestFits:
         # one step from a handcrafted state, checked against the literal
         # update formulas: the prox anchored at the current weight
         # difference, then dual ascent on the constraint residual
-        from tvglearn.proximal import soft_threshold
-
         rng = np.random.default_rng(99)
         y = rng.normal(size=(2, 3, 2))
         cfg = SolverConfig(
@@ -618,7 +625,9 @@ class TestFits:
         beta_old = state.beta.copy()
         new = step(state, y, cfg)
         diff = new.w[0] - new.w[1]
-        z_expected = soft_threshold(diff - cfg.lam * beta_old[0], cfg.lam * cfg.alpha)
+        z_expected = oracles.soft_threshold_sign(
+            diff - cfg.lam * beta_old[0], cfg.lam * cfg.alpha
+        )
         np.testing.assert_allclose(new.z[0], z_expected, atol=1e-12)
         beta_expected = beta_old[0] + cfg.tau2 * (new.z[0] - diff)
         np.testing.assert_allclose(new.beta[0], beta_expected, atol=1e-12)
