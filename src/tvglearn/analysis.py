@@ -95,12 +95,17 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     An edge survives a trial when its weight is at least ``prob_threshold``
     (weights read as connection probabilities); it enters the consensus
     graph when its trial count strictly exceeds ``count_threshold``.  A 1-D
-    graph is one trial.  A stack of more than two dimensions, no trial
-    graph, graphs with no edges, or a non-finite weight raise ValueError.
+    graph is one trial.  A negative ``count_threshold``, a stack of more
+    than two dimensions, no trial graph, graphs with no edges, or a
+    non-finite weight raise ValueError.
     """
     if not np.isfinite(prob_threshold):
         raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
     check_integer("count_threshold", count_threshold)
+    if count_threshold < 0:  # it would keep edges that no trial retained
+        raise ValueError(
+            f"count_threshold must be non-negative, got {count_threshold}"
+        )
     graphs = np.atleast_2d(np.asarray(graph_per_trial, dtype=np.float64))
     if graphs.ndim > 2:
         raise ValueError(

@@ -27,7 +27,7 @@ import math
 import sys
 import typing
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +317,10 @@ def _fit_files(w_seq, x_windows, report, solver_cfg, seed, mode) -> dict:
         "seed": seed,
         "n_windows": int(w_seq.shape[0]),
         "n_nodes": n_nodes_for_edges(w_seq.shape[1]),
-        "config": solver_cfg.to_dict(),
+        "config": {
+            ("lambda" if name == "lam" else name): value
+            for name, value in asdict(solver_cfg).items()
+        },
         **report.to_dict(),
     })
     return files

@@ -55,7 +55,11 @@ class UsageError(TvgLearnError):
 def check_integer(name, value):
     """Raise ValueError naming ``name`` unless ``value`` is an integer; a
     bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an exact int skips the ABC check, which costs about half a microsecond
+    # on every X-update's edge count
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "weight_matrix",
     "smoothness_term",
     "energy_penalty_term",
-    "temporal_variation",
+    "change_profile",
     "objective",
 ]
 
@@ -40,7 +40,8 @@ def n_edges(n_nodes: int) -> int:
 
 def n_nodes_for_edges(m: int) -> int:
     """Inverse of :func:`n_edges`; raises if ``m`` is not a valid edge count."""
-    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    check_integer("m", m)
+    n = (1 + math.isqrt(1 + 8 * m)) // 2 if m > 0 else 0
     if n < 2 or n_edges(n) != m:
         raise ValueError(f"{m} is not n*(n-1)/2 for any integer n >= 2")
     return n
@@ -159,8 +160,9 @@ def energy_penalty_term(weights, x) -> float:
     return _energy(*_check_stacks([weights], [x]))
 
 
-def temporal_variation(w_seq) -> np.ndarray:
-    """l1 distances ||W_t - W_{t+1}||_1 between consecutive edge vectors."""
+def change_profile(w_seq) -> np.ndarray:
+    """l1 distances ||W_t - W_{t+1}||_1 between consecutive edge vectors;
+    empty for a one-window sequence."""
     w_seq = np.asarray(w_seq, dtype=np.float64)
     if w_seq.ndim != 2:
         raise ValueError("graph sequence must be a (n_windows, n_edges) array")
@@ -183,7 +185,7 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     # the window-sized residual buffer, to keep the peak memory low
     smooth = _smoothness(w_seq, x_windows)
     energy = _energy(w_seq, x_windows) if eta != 0.0 else 0.0
-    change = float(temporal_variation(w_seq).sum())
+    change = float(change_profile(w_seq).sum())
     resid = np.empty_like(y_windows[0])
     fit = 0.0
     for t in range(w_seq.shape[0]):

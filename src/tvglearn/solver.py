@@ -13,8 +13,6 @@ empty.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -27,9 +25,9 @@ from .graphs import (
     _edge_energy_stack,
     _sq_dist_stack,
     as_signal_matrix,
+    change_profile,
     n_edges,
     objective,
-    temporal_variation,
     weight_matrix,
     window_signals,
 )
@@ -56,18 +54,6 @@ __all__ = [
 # of the 72 fits at max_iter, and smaller C1 converge more slowly.
 C1 = 20.0
 C2 = 0.02
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _caller_stacklevel() -> int:
-    """The ``warnings.warn`` stacklevel, for the function calling this one,
-    that names the first frame outside the package: the user's call."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -144,28 +130,6 @@ class SolverConfig:
             )
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-    def validate_for(self, n_nodes: int) -> None:
-        """Checks that need the node count; warns on the soft eta bound."""
-        m = n_edges(n_nodes)
-        if self.k_budget > m:
-            raise InfeasibleBudgetError(
-                f"k_budget={self.k_budget} exceeds the {m} edges of a "
-                f"{n_nodes}-node graph"
-            )
-        if self.eta > 0 and self.eta * (n_nodes - 1) >= 1.0:
-            warnings.warn(
-                f"eta={self.eta} violates the sufficient bound "
-                f"eta*(n-1) < 1; the X update may lose positive definiteness",
-                stacklevel=_caller_stacklevel(),
-            )
-
-    def to_dict(self) -> dict:
-        """Field values by name, with ``lam`` under its CLI name ``"lambda"``."""
-        return {
-            ("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
-            for f in fields(self)
-        }
 
 
 @dataclass
@@ -398,7 +362,20 @@ def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
 
 
 def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitReport]:
-    cfg.validate_for(y_windows.shape[1])
+    n = y_windows.shape[1]
+    m = n_edges(n)
+    if cfg.k_budget > m:
+        raise InfeasibleBudgetError(
+            f"k_budget={cfg.k_budget} exceeds the {m} edges of a "
+            f"{n}-node graph"
+        )
+    if cfg.eta > 0 and cfg.eta * (n - 1) >= 1.0:
+        # stacklevel 3 names the line that called fit_dynamic or fit_static
+        warnings.warn(
+            f"eta={cfg.eta} violates the sufficient bound "
+            f"eta*(n-1) < 1; the X update may lose positive definiteness",
+            stacklevel=3,
+        )
     converged = False
     # a record near 1e153 overflows the objective, the X-update, the
     # gradient or the W step; the finiteness checks report that as one
@@ -422,13 +399,12 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
                 f"{state.iteration}: the iterates outgrew floating point "
                 f"(largest |x| {np.abs(state.x).max():.3g}); {_divergence_hint(cfg)}"
             )
-    changes = temporal_variation(state.w)
     report = FitReport(
         converged=converged,
         iterations=state.iteration,
         final_objective=state.objective,
         final_residual=state.residual,
-        per_window_change=tuple(float(c) for c in changes),
+        per_window_change=tuple(float(c) for c in change_profile(state.w)),
         tau1=state.steps[0],
         tau2=state.steps[1],
     )

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBudgetError, check_finite, check_integer
-from .graphs import edge_pairs, n_edges, temporal_variation
+from .graphs import edge_pairs, n_edges
 from .solver import update_x
 
-__all__ = ["ScenarioSpec", "GroundTruth", "generate", "edge_f1", "change_profile"]
+__all__ = ["ScenarioSpec", "GroundTruth", "generate", "edge_f1"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class GroundTruth:
     """Noisy record, its clean version, and the graphs that generated it.
 
     ``boundaries`` holds the indices t at which windows t and t+1 straddle a
-    segment change, matching the indexing of :func:`change_profile`.
+    segment change, matching the indexing of :func:`graphs.change_profile`.
     """
 
     segments: np.ndarray  # (n_segments, n_edges) 0/1 edge vectors
@@ -161,10 +161,3 @@ def edge_f1(estimated, truth, k: int) -> float:
     recall = hits / n_true
     return 2.0 * precision * recall / (precision + recall)
 
-
-def change_profile(w_seq) -> np.ndarray:
-    """l1 change ||W_t - W_{t+1}||_1 between consecutive graphs."""
-    w_seq = np.asarray(w_seq, dtype=np.float64)
-    if w_seq.ndim != 2 or w_seq.shape[0] < 2:
-        raise ValueError("need a (n_windows >= 2, n_edges) graph sequence")
-    return temporal_variation(w_seq)

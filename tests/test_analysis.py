@@ -154,6 +154,11 @@ class TestConsensus:
         with pytest.raises(ValueError, match="count_threshold must be an integer"):
             consensus(np.ones((3, 4)), prob_threshold=0.5, count_threshold=threshold)
 
+    def test_negative_count_threshold_rejected(self):
+        # every count is at least 0, so -1 would keep edges no trial retained
+        with pytest.raises(ValueError, match="count_threshold must be non-negative"):
+            consensus(np.zeros((2, 3)), prob_threshold=0.5, count_threshold=-1)
+
     def test_monotone_in_count_threshold(self):
         rng = np.random.default_rng(5)
         graphs = rng.uniform(size=(10, 8))

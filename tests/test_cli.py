@@ -599,8 +599,11 @@ class TestRun:
             args += ["--window-len", str(window_len)]
         assert run(args) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["config"] == \
-            SolverConfig(k_budget=2.0, window_len=window_len).to_dict()
+        assert report["config"] == {
+            "k_budget": 2.0, "gamma": 1.0, "eta": 0.0, "alpha": 0.1, "lambda": 1.0,
+            "tau1": None, "tau2": None, "max_iter": 5000, "tol_obj": 1e-6,
+            "tol_residual": 1e-4, "window_len": window_len,
+        }
 
     def test_report_has_the_steps_the_fit_used(self, tmp_path):
         path = self._write_signals(tmp_path)
@@ -679,6 +682,19 @@ class TestRun:
         assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
                     "--out", str(out), "--prob-threshold", threshold]) == 1
         assert "prob_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count_threshold_is_usage_error(self, tmp_path, capsys):
+        cfg = SolverConfig(k_budget=1.0, window_len=4)
+        report = FitReport(True, 1, 0.0, 0.0, ())
+        _write(tmp_path / "trials" / "t0", _fit_files(
+            np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report, cfg, seed=0,
+            mode="dynamic",
+        ))
+        out = tmp_path / "consensus"
+        assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
+                    "--out", str(out), "--count-threshold", "-1"]) == 1
+        assert "count_threshold must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_with_cli_override(self, tmp_path):

@@ -21,9 +21,10 @@ class TestEdgeIndexing:
         for n in range(2, 30):
             assert graphs.n_nodes_for_edges(graphs.n_edges(n)) == n
 
-    def test_bad_edge_count(self):
-        with pytest.raises(ValueError):
-            graphs.n_nodes_for_edges(4)
+    @pytest.mark.parametrize("m", [4, 0, -1, 3.0, True])
+    def test_bad_edge_count(self, m):
+        with pytest.raises(ValueError, match=r"n\*\(n-1\)/2|m must be an integer"):
+            graphs.n_nodes_for_edges(m)
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_edge_pairs_need_two_nodes(self, n_nodes):
@@ -84,7 +85,7 @@ class TestTerms:
 
     def test_temporal_variation_needs_a_sequence(self):
         with pytest.raises(ValueError, match="graph sequence"):
-            graphs.temporal_variation(np.zeros(3))
+            graphs.change_profile(np.zeros(3))
 
     def test_trace_identities_random(self):
         rng = np.random.default_rng(5)
@@ -195,7 +196,7 @@ class TestObjective:
                 - eta * graphs.energy_penalty_term(w[t], x[t])
                 for t in range(b)
             )
-            + alpha * graphs.temporal_variation(w).sum()
+            + alpha * graphs.change_profile(w).sum()
         )
         value = graphs.objective(y, x, w, gamma=gamma, eta=eta, alpha=alpha)
         assert value == pytest.approx(expected, rel=1e-15, abs=0)

@@ -18,7 +18,7 @@ from tvglearn import (
     fit_static,
     generate,
 )
-from tvglearn.graphs import n_edges, window_signals
+from tvglearn.graphs import change_profile, n_edges, window_signals
 from tvglearn.projection import is_feasible
 from tvglearn.solver import (
     C1,
@@ -451,6 +451,12 @@ class TestFits:
         _assert_same_bytes(w, w_seq[0])
         _assert_same_bytes(x, x_seq[0])
         assert report == report_dyn and report.per_window_change == ()
+        assert change_profile(w[np.newaxis]).shape == (0,)
+
+    def test_per_window_change_is_the_change_profile(self):
+        y, cfg = _reference_scenario(25)
+        w_seq, _, report = fit_dynamic(y, replace(cfg, max_iter=20))
+        assert report.per_window_change == tuple(change_profile(w_seq))
 
     def test_stop_reason(self):
         rng = np.random.default_rng(5)
@@ -574,25 +580,15 @@ class TestFits:
             fit(y, cfg)
         assert str(raised.value).endswith("; " + hint)
 
-    def test_eta_bound_warning(self):
-        cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=5)
-        with pytest.warns(UserWarning):
-            cfg.validate_for(3)
-
-    @pytest.mark.parametrize("call", ["fit_static", "fit_dynamic", "validate_for"])
-    def test_eta_bound_warning_points_at_the_caller(self, call):
+    @pytest.mark.parametrize("fit", [fit_static, fit_dynamic])
+    def test_eta_bound_warning_points_at_the_caller(self, fit):
         # the warning names the line that called into the package, not the
         # package line that checks the bound
         y = np.random.default_rng(0).normal(size=(3, 20))
         cfg = SolverConfig(k_budget=1.0, eta=0.6, window_len=10, max_iter=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if call == "fit_static":
-                fit_static(y, cfg)
-            elif call == "fit_dynamic":
-                fit_dynamic(y, cfg)
-            else:
-                cfg.validate_for(3)
+            fit(y, cfg)
         assert [w.category for w in caught] == [UserWarning]
         assert caught[0].filename == __file__
 
