@@ -101,11 +101,8 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     """
     if not np.isfinite(prob_threshold):
         raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
-    check_integer("count_threshold", count_threshold)
-    if count_threshold < 0:  # it would keep edges that no trial retained
-        raise ValueError(
-            f"count_threshold must be non-negative, got {count_threshold}"
-        )
+    # a negative threshold would keep edges that no trial retained
+    check_integer("count_threshold", count_threshold, 0)
     graphs = np.atleast_2d(np.asarray(graph_per_trial, dtype=np.float64))
     if graphs.ndim > 2:
         raise ValueError(

@@ -427,6 +427,11 @@ def _cmd_consensus(opts: dict) -> dict:
             _read_graph_stack(window), opts["prob_threshold"], opts["count_threshold"]
         )
         out[f"consensus_{t}.csv"] = _edge_csv("i,j,count,kept", result.counts, result.kept)
+    if opts["count_threshold"] >= len(per_trial):
+        warnings.warn(
+            f"count_threshold={opts['count_threshold']} keeps no edge: an edge "
+            f"must be in more trials than that, and there are {len(per_trial)}"
+        )
     return out
 
 

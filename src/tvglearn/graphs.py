@@ -76,9 +76,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
     writing into them writes into the record.
     """
     y = as_signal_matrix(y)
-    check_integer("window_len", window_len)
-    if window_len < 1:
-        raise ValueError("window_len must be positive")
+    check_integer("window_len", window_len, 1)
     n, t = y.shape
     b = t // window_len
     if b < 1:
@@ -176,7 +174,7 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     sum_t [ ||Y_t - X_t||_F^2 + gamma * smoothness - eta * energy ]
     plus alpha * sum_t ||W_t - W_{t+1}||_1.
     """
-    w_seq, x_windows = _check_stacks(np.atleast_2d(w_seq), x_windows)
+    w_seq, x_windows = _check_stacks(w_seq, x_windows)
     y_windows = np.asarray(y_windows, dtype=np.float64)
     if y_windows.shape != x_windows.shape:
         raise ValueError("Y and X window stacks must share a shape")

@@ -106,11 +106,9 @@ class SolverConfig:
     window_len: int | None = None
 
     def __post_init__(self):
-        check_integer("max_iter", self.max_iter)
+        check_integer("max_iter", self.max_iter, 1)
         if self.window_len is not None:  # None: static fits span the record
-            check_integer("window_len", self.window_len)
-            if self.window_len < 1:
-                raise ValueError("window_len must be positive")
+            check_integer("window_len", self.window_len, 1)
         if not (math.isfinite(self.k_budget) and self.k_budget > 0):
             raise InfeasibleBudgetError(
                 f"k_budget must be positive and finite, got {self.k_budget}"
@@ -128,8 +126,6 @@ class SolverConfig:
                 f"tau2 * lambda must be below 2, got tau2={self.tau2}, "
                 f"lambda={self.lam}"
             )
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -147,10 +143,6 @@ class SolverState:
     residual: float = 0.0  # max |Z - W_t + W_{t+1}|; 0 at the start (Z = 0, W_t equal)
     kappa: np.ndarray | None = None  # (b,) last projection shifts, or None
     steps: tuple | None = None  # (tau1, tau2) in use; the first step sets it
-
-    @property
-    def n_windows(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,22 +179,29 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     so the (n, s) signals go through one product.  The system matrix must be
     positive definite; the SingularSystemError raised otherwise names
     ``window`` when one is given.  Raises ValueError on a non-finite gamma,
-    eta, weight or signal, and on a system whose assembly would overflow.
+    eta, weight or signal, on a block that is not (n, s) for the graph's n
+    nodes, and on a system whose assembly would overflow.
     """
-    if not (math.isfinite(gamma) and math.isfinite(eta)):
-        raise ValueError(f"gamma and eta must be finite, got {gamma} and {eta}")
     y_block = np.asarray(y_block, dtype=np.float64)
     if not np.isfinite(y_block).all():
         raise ValueError("signals must not contain infs or NaNs")
     w = np.asarray(weights, dtype=np.float64)
     a = weight_matrix(w)  # checks the shape and the edge count
+    if y_block.ndim != 2 or y_block.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"signal block of shape {y_block.shape} does not fit the edge "
+            f"vector of shape {w.shape}: need ({a.shape[0]}, n_samples)"
+        )
     # no entry of the system, nor a degree, exceeds this bound in size, so
-    # the assembly overflows only if it does (a NaN weight makes it NaN)
+    # the assembly overflows only if it does; a NaN or inf gamma, eta or
+    # weight makes it non-finite even on zero weights (inf * 0 is NaN), and
+    # fabs keeps it in Python floats, which raise no floating-point warning
     if not math.isfinite(
-        (1.0 + abs(gamma) + abs(eta)) * float(np.abs(w).max()) * a.shape[0]
+        (1.0 + math.fabs(gamma) + math.fabs(eta)) * float(np.abs(w).max()) * a.shape[0]
     ):
         raise ValueError(
-            "weights must be finite, and I + gamma*L - eta*D must not overflow"
+            "gamma and eta must be finite, the weights finite, and "
+            "I + gamma*L - eta*D must not overflow"
         )
     deg = a.sum(axis=1)
     a *= -gamma
@@ -268,7 +267,7 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     neither ``state.x`` nor ``state.z`` is read; either may be None.
     """
     x_new = np.empty(y_windows.shape)
-    for t in range(state.n_windows):
+    for t in range(len(state.w)):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
     raw = grad_w(x_new, state.beta, cfg)
     tau1, tau2 = state.steps or _resolve_steps(raw, cfg)

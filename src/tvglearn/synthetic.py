@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBudgetError, check_finite, check_integer
-from .graphs import edge_pairs, n_edges
+from .graphs import edge_pairs, n_edges, window_signals
 from .solver import update_x
 
 __all__ = ["ScenarioSpec", "GroundTruth", "generate", "edge_f1"]
@@ -33,19 +33,14 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_nodes", "k_true", "n_segments", "windows_per_segment",
-                     "window_len", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.n_nodes < 2:
-            raise ValueError("need at least 2 nodes")
+        for name, minimum in (("n_nodes", 2), ("k_true", None), ("n_segments", 1),
+                              ("windows_per_segment", 1), ("window_len", 1),
+                              ("seed", None)):
+            check_integer(name, getattr(self, name), minimum)
         if not 0 < self.k_true <= n_edges(self.n_nodes):
             raise InfeasibleBudgetError(
                 f"k_true={self.k_true} outside (0, {n_edges(self.n_nodes)}]"
             )
-        if self.n_segments < 1 or self.windows_per_segment < 1:
-            raise ValueError("need at least one segment and one window")
-        if self.window_len < 1:
-            raise ValueError("window_len must be positive")
         check_finite("noise_sigma", self.noise_sigma)
         check_finite("smooth_gamma", self.smooth_gamma, positive=True)
         if not 0.0 <= self.zero_node_fraction < 1.0:
@@ -107,15 +102,13 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
         chosen = rng.choice(allowed, size=spec.k_true, replace=False)
         segments[s, chosen] = 1.0
 
-    clean = np.empty((n, spec.n_samples))
-    for s in range(spec.n_segments):
-        for b in range(spec.windows_per_segment):
-            eps = rng.standard_normal((n, spec.window_len))
-            t = s * spec.windows_per_segment + b
-            start = t * spec.window_len
-            clean[:, start : start + spec.window_len] = update_x(
-                eps, segments[s], spec.smooth_gamma, 0.0, window=t
-            )
+    # zeros, not empty: window_signals checks that the record is finite;
+    # each window is written through its view of the record
+    clean = np.zeros((n, spec.n_samples))
+    for t, block in enumerate(window_signals(clean, spec.window_len)):
+        eps = rng.standard_normal((n, spec.window_len))
+        segment = segments[t // spec.windows_per_segment]
+        block[...] = update_x(eps, segment, spec.smooth_gamma, 0.0, window=t)
     clean[zero_mask] = 0.0
 
     signals = rng.standard_normal(clean.shape)  # the noise, scaled in place

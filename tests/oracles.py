@@ -248,7 +248,7 @@ def step_per_window(state, y_windows, cfg):
     from tvglearn.proximal import prox_l1_linear
     from tvglearn.solver import C1, C2, SolverState, update_x
 
-    b = state.n_windows
+    b = len(state.w)
     x_new = np.empty_like(state.x)
     for t in range(b):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)

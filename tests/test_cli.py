@@ -670,6 +670,33 @@ class TestRun:
         assert lines[2] == "1,3,1,0"  # edge (1,3): 1 trial
         assert lines[3] == "2,3,0,0"
 
+    @pytest.mark.parametrize("threshold, warns", [("1", False), (None, True)],
+                             ids=["below the trials", "default"])
+    def test_consensus_warns_when_no_edge_can_be_kept(self, tmp_path, capsys,
+                                                      threshold, warns):
+        # two trials that agree on every edge: only a count_threshold below 2
+        # can keep one, and the default of 5 keeps none
+        cfg = SolverConfig(k_budget=1.0, window_len=4)
+        report = FitReport(True, 1, 0.0, 0.0, ())
+        for trial in ("a", "b"):
+            _write(tmp_path / "trials" / trial, _fit_files(
+                np.array([[0.9, 0.1, 0.0]]), np.zeros((1, 3, 4)), report, cfg, seed=0,
+                mode="dynamic",
+            ))
+        out = tmp_path / "consensus"
+        flags = [] if threshold is None else ["--count-threshold", threshold]
+        assert run(["--mode", "consensus", "--input", str(tmp_path / "trials"),
+                    "--out", str(out), *flags]) == 0
+        err = capsys.readouterr().err
+        kept = "1" if threshold == "1" else "0"
+        assert (out / "consensus_1.csv").read_text().splitlines()[1:] == \
+            [f"1,2,2,{kept}", "1,3,0,0", "2,3,0,0"]
+        if warns:
+            assert err == ("warning: count_threshold=5 keeps no edge: an edge must "
+                           "be in more trials than that, and there are 2\n")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_prob_threshold_is_usage_error(self, tmp_path, capsys, threshold):
         cfg = SolverConfig(k_budget=1.0, window_len=4)

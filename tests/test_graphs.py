@@ -74,10 +74,11 @@ class TestTerms:
 
     @pytest.mark.parametrize("w_seq, x_windows, y_shape, match", [
         (np.zeros((1, 1, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "graph sequence"),
+        (np.zeros(3), np.zeros((1, 3, 2)), (1, 3, 2), "graph sequence"),
         (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4), "share a shape"),
-    ], ids=["3-D graphs", "window count", "2-D signals", "Y shape"])
+    ], ids=["3-D graphs", "1-D graph", "window count", "2-D signals", "Y shape"])
     def test_objective_rejects_mismatched_stacks(self, w_seq, x_windows, y_shape, match):
         with pytest.raises(ValueError, match=match):
             graphs.objective(np.zeros(y_shape), x_windows, w_seq,

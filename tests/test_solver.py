@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -143,12 +144,29 @@ class TestUpdateX:
         with pytest.raises(ValueError):
             update_x(np.ones((3, 4)), np.ones(4), 1.0, 0.0)
 
+    @pytest.mark.parametrize("y_shape, m", [((3, 5), 6), ((2, 3, 4), 3)],
+                             ids=["rows", "3-D"])
+    def test_block_that_does_not_fit_the_graph(self, y_shape, m):
+        # 6 edges are a 4-node graph, so 3 rows do not fit; a 3-D block is
+        # not one window's (n, s) signals, even with n matching rows
+        with pytest.raises(ValueError, match=re.escape(f"{y_shape}") + ".*"
+                           + re.escape(f"({m},)")):
+            update_x(np.ones(y_shape), np.ones(m), 1.0, 0.0)
+
     @pytest.mark.parametrize(
         "gamma, eta", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)]
     )
     def test_non_finite_gamma_or_eta_rejected(self, gamma, eta):
         with pytest.raises(ValueError, match="gamma and eta must be finite"):
             update_x(np.ones((3, 4)), np.full(3, 0.5), gamma, eta)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.float64(np.inf), np.float64(np.nan)],
+                             ids=["float inf", "numpy inf", "numpy nan"])
+    def test_non_finite_gamma_rejected_on_zero_weights(self, gamma):
+        # the overflow bound is the only finiteness check: inf * 0 is NaN,
+        # and a numpy scalar's inf * 0 must not warn on the way
+        with pytest.raises(ValueError, match="gamma and eta must be finite"):
+            update_x(np.ones((3, 4)), np.zeros(3), gamma, 0.0)
 
 
 class TestGradW:
@@ -629,7 +647,7 @@ class TestFits:
         np.testing.assert_allclose(new.beta[0], beta_expected, atol=1e-12)
 
     @pytest.mark.parametrize("name, value, match", [
-        ("max_iter", 0, "max_iter must be at least 1"),
+        ("max_iter", 0, "max_iter must be positive"),
         ("window_len", 0, "window_len must be positive"),
         ("window_len", -3, "window_len must be positive"),
     ])

@@ -36,11 +36,11 @@ class TestSpec:
             _spec(**{name: value})
 
     @pytest.mark.parametrize("fields, error, match", [
-        (dict(n_nodes=1, k_true=1), ValueError, "at least 2 nodes"),
+        (dict(n_nodes=1, k_true=1), ValueError, "n_nodes must be at least 2"),
         (dict(k_true=0), InfeasibleBudgetError, "k_true=0"),
         (dict(n_nodes=4, k_true=7), InfeasibleBudgetError, "k_true=7"),
-        (dict(n_segments=0), ValueError, "at least one segment"),
-        (dict(windows_per_segment=0), ValueError, "at least one segment"),
+        (dict(n_segments=0), ValueError, "n_segments must be positive"),
+        (dict(windows_per_segment=0), ValueError, "windows_per_segment must be positive"),
     ], ids=["one node", "no edges", "too many edges", "no segment", "no window"])
     def test_bad_layout_is_rejected(self, fields, error, match):
         with pytest.raises(error, match=match):
