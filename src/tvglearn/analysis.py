@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import as_float_array, check_integer
 
 __all__ = [
     "ConsensusGraph",
@@ -35,10 +35,8 @@ def _row_correlations(x, flat_warning: str) -> np.ndarray:
 
     r = sum(a*b) / sqrt(sum(a*a) * sum(b*b)) over the centred rows, so
     identical rows give exactly 1.0.  Where that product is 0 (a flat row)
-    r is 0, with ``flat_warning``.  Non-finite input raises ValueError.
+    r is 0, with ``flat_warning``.  The callers check that ``x`` is finite.
     """
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite value in the input")
     centred = x - x.mean(axis=-1, keepdims=True)
     cross = centred @ np.swapaxes(centred, -1, -2)
     sq = np.diagonal(cross, axis1=-2, axis2=-1)
@@ -63,12 +61,11 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
     the pairs involving that trial (with a warning).  A non-finite sample,
     or trials with no samples, raise ValueError.
     """
-    mats = [np.asarray(t, dtype=np.float64) for t in trials]
+    mats = [as_float_array(f"trials[{i}]", t, ndim=2, finite=True)
+            for i, t in enumerate(trials)]
     if len(mats) < 2:
         raise ValueError("need at least 2 trials")
     shape = mats[0].shape
-    if len(shape) != 2:
-        raise ValueError(f"each trial must be a 2-D array, got {len(shape)}-D")
     if any(t.shape != shape for t in mats):
         raise ValueError("all trials must share the same shape")
     if shape[1] == 0:
@@ -103,13 +100,11 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
         raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
     # a negative threshold would keep edges that no trial retained
     check_integer("count_threshold", count_threshold, 0)
-    graphs = np.atleast_2d(np.asarray(graph_per_trial, dtype=np.float64))
+    graphs = np.atleast_2d(as_float_array("graph_per_trial", graph_per_trial, finite=True))
     if graphs.ndim > 2:
         raise ValueError(
             f"need a (n_trials, n_edges) graph stack, got shape {graphs.shape}"
         )
-    if not np.isfinite(graphs).all():
-        raise ValueError("non-finite value in the input")
     if graphs.shape[0] < 1:
         raise ValueError("need at least one trial graph")
     if graphs.shape[1] < 1:
@@ -127,7 +122,7 @@ def graph_correlation_matrix(w_seq) -> np.ndarray:
     in its off-diagonal entries, with a warning.  A non-finite weight, or a
     sequence with no edges, raises ValueError.
     """
-    w_seq = np.asarray(w_seq, dtype=np.float64)
+    w_seq = as_float_array("w_seq", w_seq, finite=True)
     if w_seq.ndim != 2 or w_seq.shape[0] < 2 or w_seq.shape[1] < 1:
         raise ValueError("need a (n_windows >= 2, n_edges >= 1) graph sequence")
 

@@ -41,6 +41,7 @@ from .errors import (
     DivergenceError,
     SingularSystemError,
     UsageError,
+    check_integer,
 )
 from .graphs import edge_pairs, n_nodes_for_edges
 from .solver import SolverConfig, fit_dynamic, fit_static
@@ -330,6 +331,9 @@ def _cmd_fit(opts: dict) -> dict:
     dynamic = opts["mode"] == "dynamic"
     _require(opts, "input", "k", *(["window_len"] if dynamic else []))
     cfg = SolverConfig(**_kwargs(SolverConfig, opts))
+    # fits echo the seed in report.json, so it follows ScenarioSpec's rule
+    seed = opts.get("seed", ScenarioSpec.seed)
+    check_integer("seed", seed, 0)
     y = ingest_csv(opts["input"])
     if dynamic:
         w_seq, x_windows, report = fit_dynamic(y, cfg)
@@ -342,8 +346,6 @@ def _cmd_fit(opts: dict) -> dict:
             f"stopping criteria were met (final residual "
             f"{report.final_residual:.3g})"
         )
-    # fits echo the seed in report.json
-    seed = opts.get("seed", ScenarioSpec.seed)
     return _fit_files(w_seq, x_windows, report, cfg, seed, opts["mode"])
 
 

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "TvgLearnError",
     "DataError",
@@ -72,3 +74,18 @@ def check_finite(name, value, *, positive=False):
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
+
+
+def as_float_array(name, values, ndim=None, finite=False):
+    """``values`` as a float64 array; ValueError naming ``name`` if it is complex,
+    not ``ndim``-D (when given) or, with ``finite``, holds a NaN or an inf."""
+    array = np.asarray(values)
+    if array.dtype != np.float64:
+        if array.dtype.kind == "c":  # the cast would drop the imaginary part
+            raise ValueError(f"{name} must be real, got {array.dtype}")
+        array = array.astype(np.float64)
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got {array.ndim}-D")
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return array

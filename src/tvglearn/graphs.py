@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import check_integer
+from .errors import as_float_array, check_integer
 
 __all__ = [
     "edge_pairs",
@@ -54,17 +54,13 @@ def edge_pairs(n_nodes: int):
     return _kernels.triu_pairs(n_nodes)
 
 
-def as_signal_matrix(values) -> np.ndarray:
+def as_signal_matrix(y) -> np.ndarray:
     """Validate and return a (n_nodes, n_samples) float64 signal matrix."""
-    y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError(f"signal matrix must be 2-D, got {y.ndim}-D")
+    y = as_float_array("y", y, ndim=2, finite=True)
     if y.shape[0] < 2:
         raise ValueError(f"need at least 2 node rows, got {y.shape[0]}")
     if y.shape[1] < 1:
         raise ValueError("signal matrix has no samples")
-    if not np.isfinite(y).all():
-        raise ValueError("signal matrix contains non-finite entries")
     return y
 
 
@@ -88,9 +84,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
 
 def weight_matrix(weights) -> np.ndarray:
     """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("edge vector must be 1-D")
+    w = as_float_array("weights", weights, ndim=1)
     n = n_nodes_for_edges(w.shape[0])
     mat = np.zeros(n * n)
     mat[_kernels.triu_flat(n)] = w
@@ -101,10 +95,8 @@ def weight_matrix(weights) -> np.ndarray:
 
 def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
-    w_seq = np.asarray(w_seq, dtype=np.float64)
-    x_windows = np.asarray(x_windows, dtype=np.float64)
-    if w_seq.ndim != 2:
-        raise ValueError("graph sequence must be a (n_windows, n_edges) array")
+    w_seq = as_float_array("w_seq", w_seq, ndim=2)
+    x_windows = as_float_array("x_windows", x_windows)
     if x_windows.ndim != 3 or x_windows.shape[0] != w_seq.shape[0]:
         raise ValueError("window count mismatch between signals and graphs")
     n = n_nodes_for_edges(w_seq.shape[1])
@@ -146,7 +138,8 @@ def _energy(w_seq, x_windows) -> float:
 def smoothness_term(weights, x) -> float:
     """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2 = tr(x^T L(W) x),
     computed as the objective computes it for one window."""
-    return _smoothness(*_check_stacks([weights], [x]))
+    w, x = as_float_array("weights", weights, ndim=1), as_float_array("x", x)
+    return _smoothness(*_check_stacks(w[np.newaxis], x[np.newaxis]))
 
 
 def energy_penalty_term(weights, x) -> float:
@@ -155,15 +148,14 @@ def energy_penalty_term(weights, x) -> float:
 
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
-    return _energy(*_check_stacks([weights], [x]))
+    w, x = as_float_array("weights", weights, ndim=1), as_float_array("x", x)
+    return _energy(*_check_stacks(w[np.newaxis], x[np.newaxis]))
 
 
 def change_profile(w_seq) -> np.ndarray:
     """l1 distances ||W_t - W_{t+1}||_1 between consecutive edge vectors;
     empty for a one-window sequence."""
-    w_seq = np.asarray(w_seq, dtype=np.float64)
-    if w_seq.ndim != 2:
-        raise ValueError("graph sequence must be a (n_windows, n_edges) array")
+    w_seq = as_float_array("w_seq", w_seq, ndim=2)
     change = np.subtract(w_seq[1:], w_seq[:-1])  # empty for one window
     return np.abs(change, out=change).sum(axis=1)
 
@@ -175,7 +167,7 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     plus alpha * sum_t ||W_t - W_{t+1}||_1.
     """
     w_seq, x_windows = _check_stacks(w_seq, x_windows)
-    y_windows = np.asarray(y_windows, dtype=np.float64)
+    y_windows = as_float_array("y_windows", y_windows)
     if y_windows.shape != x_windows.shape:
         raise ValueError("Y and X window stacks must share a shape")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InfeasibleBudgetError
+from .errors import InfeasibleBudgetError, as_float_array
 
 __all__ = ["ProjectionResult", "project_capped_simplex", "is_feasible"]
 
@@ -66,20 +66,18 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
         much tighter) and sits exactly inside the box.  Each row comes out
         exactly as its own 1-D projection would.
     """
-    w = np.ascontiguousarray(raw, dtype=np.float64)
+    w = np.ascontiguousarray(as_float_array("raw", raw, finite=True))
     if w.ndim not in (1, 2):
         raise ValueError("raw edge vector must be 1-D, or a 2-D stack of them")
     if w.ndim == 2 and w.shape[0] == 0:
         raise ValueError("cannot project an empty stack")
-    if not np.isfinite(w).all():
-        raise ValueError("cannot project a vector with non-finite entries")
     m = w.shape[-1]
     if not 0.0 < k <= m:
         raise InfeasibleBudgetError(
             f"edge budget k={k} outside the feasible range (0, {m}]"
         )
     if start is not None:
-        start = np.asarray(start, dtype=np.float64)
+        start = as_float_array("start", start)
         if start.ndim != 0 and (w.ndim != 2 or start.shape != w.shape[:1]):
             raise ValueError(
                 f"start of shape {start.shape} does not give one kappa per row "
@@ -94,7 +92,7 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
 
 def is_feasible(edges, k: float, tol: float = 1e-6) -> bool:
     """True iff every weight is in [-tol, 1 + tol] and |sum - k| <= tol."""
-    w = np.asarray(edges, dtype=np.float64)
+    w = as_float_array("edges", edges)
     if not np.isfinite(w).all():
         return False
     if w.min(initial=0.0) < -tol or w.max(initial=0.0) > 1.0 + tol:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_finite
+from .errors import as_float_array, check_finite
 
 __all__ = ["prox_l1_linear"]
 
@@ -31,8 +31,8 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
     """
     check_finite("lam", lam, positive=True)
     check_finite("alpha", alpha)
-    v = np.asarray(v, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    v = as_float_array("v", v)
+    beta = as_float_array("beta", beta)
     if beta.shape != v.shape:
         raise ValueError(f"beta shape {beta.shape} does not match v {v.shape}")
     s = lam * alpha

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
-from .errors import check_finite, check_integer
+from .errors import as_float_array, check_finite, check_integer
 from .graphs import (
     _edge_energy_stack,
     _sq_dist_stack,
@@ -182,10 +182,8 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     eta, weight or signal, on a block that is not (n, s) for the graph's n
     nodes, and on a system whose assembly would overflow.
     """
-    y_block = np.asarray(y_block, dtype=np.float64)
-    if not np.isfinite(y_block).all():
-        raise ValueError("signals must not contain infs or NaNs")
-    w = np.asarray(weights, dtype=np.float64)
+    y_block = as_float_array("y_block", y_block, finite=True)
+    w = as_float_array("weights", weights)
     a = weight_matrix(w)  # checks the shape and the edge count
     if y_block.ndim != 2 or y_block.shape[0] != a.shape[0]:
         raise ValueError(
@@ -231,6 +229,7 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
         - beta_t + beta_{t-1}
     with the convention that the boundary windows lack one coupling term.
     """
+    x, beta = as_float_array("x", x), as_float_array("beta", beta)
     grad = _sq_dist_stack(x)
     grad *= cfg.gamma
     if cfg.eta != 0.0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBudgetError, check_finite, check_integer
+from .errors import InfeasibleBudgetError, as_float_array, check_finite, check_integer
 from .graphs import edge_pairs, n_edges, window_signals
 from .solver import update_x
 
@@ -35,7 +35,7 @@ class ScenarioSpec:
     def __post_init__(self):
         for name, minimum in (("n_nodes", 2), ("k_true", None), ("n_segments", 1),
                               ("windows_per_segment", 1), ("window_len", 1),
-                              ("seed", None)):
+                              ("seed", 0)):
             check_integer(name, getattr(self, name), minimum)
         if not 0 < self.k_true <= n_edges(self.n_nodes):
             raise InfeasibleBudgetError(
@@ -132,14 +132,12 @@ def edge_f1(estimated, truth, k: int) -> float:
 
     Ties in the estimate break toward the lower edge index.
     """
-    estimated = np.asarray(estimated, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    estimated = as_float_array("estimated", estimated, finite=True)
+    truth = as_float_array("truth", truth)
     if estimated.shape != truth.shape:
         raise ValueError("estimate and truth must have the same edge count")
     if not np.all((truth == 0.0) | (truth == 1.0)):
         raise ValueError("truth must be a 0/1 edge vector")
-    if not np.isfinite(estimated).all():
-        raise ValueError("non-finite value in the input")
     check_integer("k", k)
     if not 0 < k <= estimated.shape[0]:
         raise ValueError(f"k={k} outside (0, {estimated.shape[0]}]")

@@ -84,8 +84,8 @@ class TestSelectConsistentNodes:
             select_consistent_nodes([np.zeros((3, 5))], top_k=2)
 
     @pytest.mark.parametrize("trials, top_k, match", [
-        ([np.arange(5.0)] * 2, 1, "2-D array, got 1-D"),
-        ([np.zeros((2, 3, 4))] * 2, 1, "2-D array, got 3-D"),
+        ([np.arange(5.0)] * 2, 1, r"trials\[0\] must be 2-D, got 1-D"),
+        ([np.zeros((2, 3, 4))] * 2, 1, r"trials\[0\] must be 2-D, got 3-D"),
         ([np.zeros((3, 5)), np.zeros((3, 6))], 1, "same shape"),
         ([np.zeros((2, 0))] * 2, 1, "at least one sample"),
         ([np.arange(15.0).reshape(3, 5)] * 2, 0, "outside"),

@@ -574,6 +574,15 @@ class TestRun:
         assert "window_len must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["synth", "static", "dynamic"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, mode):
+        # fits only echo the seed in report.json, but under the same rule
+        fit = [] if mode == "synth" else [
+            "--input", str(self._write_signals(tmp_path)), "--k", "2", "--window-len", "8"]
+        assert run(["--mode", mode, "--seed", "-1", "--out", str(tmp_path / "o"), *fit]) == 1
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_synth_overflowing_smoothing_is_usage_error(self, tmp_path, capsys):
         # I + smooth_gamma * L overflows, so no clean record can be drawn
         assert run(["--mode", "synth", "--n-nodes", "5", "--k-true", "4",

@@ -1,6 +1,11 @@
+import re
+import warnings
+
+import numpy as np
 import pytest
 
-from tvglearn.errors import check_integer
+import tvglearn as tg
+from tvglearn.errors import as_float_array, check_integer
 
 
 @pytest.mark.parametrize("value, minimum, match", [
@@ -13,3 +18,133 @@ def test_check_integer_bounds(value, minimum, match):
     with pytest.raises(ValueError, match=match):
         check_integer("k", value, minimum)
     check_integer("k", minimum, minimum)  # the bound itself passes
+
+
+class TestAsFloatArray:
+    def test_float64_input_is_returned_as_is(self):
+        # window_signals hands out views of the caller's record
+        values = np.ones((2, 3))
+        assert as_float_array("y", values, ndim=2, finite=True) is values
+
+    @pytest.mark.parametrize("values", [[1, 2], [True, False], np.arange(2, dtype=np.float32),
+                                        np.arange(2.0).astype(">f8"), ["1.5", "2"]],
+                             ids=["ints", "bools", "float32", "big-endian", "strings"])
+    def test_converts_as_numpy_converts_to_float64(self, values):
+        got = as_float_array("y", values)
+        assert got.dtype == np.float64 and got.dtype.isnative
+        np.testing.assert_array_equal(got, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("values", [np.ones(3) + 1j, [1.0, 2j], np.ones(2, np.complex64),
+                                        np.complex128(1.0)],
+                             ids=["complex128", "list", "complex64", "scalar"])
+    def test_complex_input_is_rejected(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ValueError, match=r"^y must be real, got complex"):
+                as_float_array("y", values)
+
+    def test_rank_wording(self):
+        with pytest.raises(ValueError, match=r"^y must be 2-D, got 1-D$"):
+            as_float_array("y", np.zeros(3), ndim=2)
+        with pytest.raises(ValueError, match=r"^y must be 0-D, got 1-D$"):
+            as_float_array("y", [1.0], ndim=0)
+        assert as_float_array("y", [1.0]).ndim == 1  # no ndim, no rank rule
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_wording(self, bad):
+        with pytest.raises(ValueError, match=r"^y has non-finite entries$"):
+            as_float_array("y", [0.0, bad], finite=True)
+        assert np.isnan(as_float_array("y", [bad - bad])).all()  # only on request
+
+
+# Valid inputs on n = 3 nodes (m = 3 edges), 2 windows of 4 samples.  Each
+# case calls one public function with ``z`` added to one array argument
+# and names that argument: z = 0 must run, z = 1j must be refused.
+_RNG = np.random.default_rng(0)
+_Y = _RNG.normal(size=(3, 8))
+_W = np.array([0.5, 0.2, 0.3])
+_W_SEQ = np.array([_W, _W[::-1]])
+_Y_WIN = tg.window_signals(_Y, 4)
+_BETA = np.zeros((1, 3))
+_CFG = tg.SolverConfig(k_budget=1.0, window_len=4, max_iter=2)
+_STATE = tg.SolverState(x=None, w=_W_SEQ, z=None, beta=_BETA)
+_TRUTH = np.array([1.0, 0.0, 0.0])
+_OBJ = dict(gamma=1.0, eta=0.0, alpha=0.1)
+
+COMPLEX_CASES = {
+    "fit_dynamic": ("y", lambda z: tg.fit_dynamic(_Y + z, _CFG)),
+    "fit_static": ("y", lambda z: tg.fit_static(_Y + z, _CFG)),
+    "as_signal_matrix": ("y", lambda z: tg.as_signal_matrix(_Y + z)),
+    "window_signals": ("y", lambda z: tg.window_signals(_Y + z, 4)),
+    "weight_matrix": ("weights", lambda z: tg.weight_matrix(_W + z)),
+    "smoothness_term weights": ("weights", lambda z: tg.smoothness_term(_W + z, _Y)),
+    "smoothness_term x": ("x", lambda z: tg.smoothness_term(_W, _Y + z)),
+    "energy_penalty_term weights": ("weights", lambda z: tg.energy_penalty_term(_W + z, _Y)),
+    "energy_penalty_term x": ("x", lambda z: tg.energy_penalty_term(_W, _Y + z)),
+    "change_profile": ("w_seq", lambda z: tg.change_profile(_W_SEQ + z)),
+    "objective y_windows": (
+        "y_windows", lambda z: tg.objective(_Y_WIN + z, _Y_WIN, _W_SEQ, **_OBJ)),
+    "objective x_windows": (
+        "x_windows", lambda z: tg.objective(_Y_WIN, _Y_WIN + z, _W_SEQ, **_OBJ)),
+    "objective w_seq": (
+        "w_seq", lambda z: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ + z, **_OBJ)),
+    "update_x y_block": ("y_block", lambda z: tg.update_x(_Y + z, _W, 1.0, 0.0)),
+    "update_x weights": ("weights", lambda z: tg.update_x(_Y, _W + z, 1.0, 0.0)),
+    "grad_w x": ("x", lambda z: tg.grad_w(_Y_WIN + z, _BETA, _CFG)),
+    "grad_w beta": ("beta", lambda z: tg.grad_w(_Y_WIN, _BETA + z, _CFG)),
+    # step hands each window of its record to update_x
+    "step": ("y_block", lambda z: tg.step(_STATE, _Y_WIN + z, _CFG)),
+    "project_capped_simplex raw": ("raw", lambda z: tg.project_capped_simplex(_W_SEQ + z, 1.0)),
+    "project_capped_simplex start": (
+        "start", lambda z: tg.project_capped_simplex(_W_SEQ, 1.0, start=np.zeros(2) + z)),
+    "is_feasible": ("edges", lambda z: tg.is_feasible(_W + z, 1.0)),
+    "prox_l1_linear v": ("v", lambda z: tg.prox_l1_linear(_W + z, 0.1, _W, 1.0)),
+    "prox_l1_linear beta": ("beta", lambda z: tg.prox_l1_linear(_W, 0.1, _W + z, 1.0)),
+    "edge_f1 estimated": ("estimated", lambda z: tg.edge_f1(_W + z, _TRUTH, 1)),
+    "edge_f1 truth": ("truth", lambda z: tg.edge_f1(_W, _TRUTH + z, 1)),
+    "select_consistent_nodes": (
+        "trials[1]", lambda z: tg.select_consistent_nodes([_Y, _Y[::-1] + z], 1)),
+    "consensus": ("graph_per_trial", lambda z: tg.consensus(_W_SEQ + z, 0.5, 0)),
+    "graph_correlation_matrix": ("w_seq", lambda z: tg.graph_correlation_matrix(_W_SEQ + z)),
+}
+
+
+@pytest.mark.parametrize("name, call", COMPLEX_CASES.values(), ids=COMPLEX_CASES.keys())
+def test_complex_argument_is_rejected_by_name(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning included
+        call(0)
+        match = rf"^{re.escape(name)} must be real, got complex128$"
+        with pytest.raises(ValueError, match=match):
+            call(1j)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tg.as_signal_matrix(np.zeros(5)), "y must be 2-D, got 1-D"),
+    (lambda: tg.weight_matrix(np.zeros((2, 3))), "weights must be 1-D, got 2-D"),
+    (lambda: tg.smoothness_term(_W_SEQ, _Y), "weights must be 1-D, got 2-D"),
+    (lambda: tg.change_profile(np.zeros((1, 2, 3))), "w_seq must be 2-D, got 3-D"),
+    (lambda: tg.objective(_Y_WIN, _Y_WIN, _W, **_OBJ), "w_seq must be 2-D, got 1-D"),
+    (lambda: tg.select_consistent_nodes([_Y, _Y[0]], 1), r"trials\[1\] must be 2-D, got 1-D"),
+], ids=["as_signal_matrix", "weight_matrix", "smoothness_term", "change_profile", "objective",
+        "select_consistent_nodes"])
+def test_rank_is_worded_by_argument(call, match):
+    with pytest.raises(ValueError, match=rf"^{match}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: tg.as_signal_matrix(bad), "y"),
+    (lambda bad: tg.update_x(bad, _W, 1.0, 0.0), "y_block"),
+    (lambda bad: tg.project_capped_simplex(bad, 1.0), "raw"),
+    (lambda bad: tg.edge_f1(bad[0], _TRUTH, 1), "estimated"),
+    (lambda bad: tg.select_consistent_nodes([_Y, bad], 1), r"trials\[1\]"),
+    (lambda bad: tg.consensus(bad, 0.5, 0), "graph_per_trial"),
+    (lambda bad: tg.graph_correlation_matrix(bad), "w_seq"),
+], ids=["as_signal_matrix", "update_x", "project_capped_simplex", "edge_f1",
+        "select_consistent_nodes", "consensus", "graph_correlation_matrix"])
+def test_non_finite_entries_are_worded_by_argument(call, name):
+    bad = np.ones((3, 3))
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
+        call(bad)

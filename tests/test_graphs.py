@@ -32,7 +32,7 @@ class TestEdgeIndexing:
             graphs.edge_pairs(n_nodes)
 
     def test_edge_vector_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="edge vector must be 1-D"):
+        with pytest.raises(ValueError, match="weights must be 1-D, got 2-D"):
             graphs.weight_matrix(np.zeros((2, 3)))
 
 
@@ -73,8 +73,8 @@ class TestTerms:
             graphs.energy_penalty_term([1.0, 0.0, 0.0], np.zeros((2, 4)))
 
     @pytest.mark.parametrize("w_seq, x_windows, y_shape, match", [
-        (np.zeros((1, 1, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "graph sequence"),
-        (np.zeros(3), np.zeros((1, 3, 2)), (1, 3, 2), "graph sequence"),
+        (np.zeros((1, 1, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "w_seq must be 2-D, got 3-D"),
+        (np.zeros(3), np.zeros((1, 3, 2)), (1, 3, 2), "w_seq must be 2-D, got 1-D"),
         (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4), "share a shape"),
@@ -85,7 +85,7 @@ class TestTerms:
                              gamma=1.0, eta=0.0, alpha=0.1)
 
     def test_temporal_variation_needs_a_sequence(self):
-        with pytest.raises(ValueError, match="graph sequence"):
+        with pytest.raises(ValueError, match="w_seq must be 2-D, got 1-D"):
             graphs.change_profile(np.zeros(3))
 
     def test_trace_identities_random(self):

@@ -41,7 +41,9 @@ class TestSpec:
         (dict(n_nodes=4, k_true=7), InfeasibleBudgetError, "k_true=7"),
         (dict(n_segments=0), ValueError, "n_segments must be positive"),
         (dict(windows_per_segment=0), ValueError, "windows_per_segment must be positive"),
-    ], ids=["one node", "no edges", "too many edges", "no segment", "no window"])
+        (dict(seed=-1), ValueError, "seed must be non-negative, got -1"),
+    ], ids=["one node", "no edges", "too many edges", "no segment", "no window",
+            "negative seed"])
     def test_bad_layout_is_rejected(self, fields, error, match):
         with pytest.raises(error, match=match):
             _spec(**fields)
