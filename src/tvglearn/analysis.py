@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_float_array, check_integer
+from .errors import as_float_array, check_finite, check_integer
 
 __all__ = [
     "ConsensusGraph",
@@ -96,8 +96,7 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     than two dimensions, no trial graph, graphs with no edges, or a
     non-finite weight raise ValueError.
     """
-    if not np.isfinite(prob_threshold):
-        raise ValueError(f"prob_threshold must be finite, got {prob_threshold}")
+    check_finite("prob_threshold", prob_threshold, bound=None)
     # a negative threshold would keep edges that no trial retained
     check_integer("count_threshold", count_threshold, 0)
     graphs = np.atleast_2d(as_float_array("graph_per_trial", graph_per_trial, finite=True))

@@ -68,12 +68,33 @@ def check_integer(name, value, minimum=None):
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def check_finite(name, value, *, positive=False):
-    """Raise ValueError naming ``name`` unless ``value`` is a finite number
-    that is non-negative, or positive with ``positive``."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        sign = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+def _finite_real(name, value) -> bool:
+    """Whether ``value`` is finite; ValueError naming ``name`` unless it is a
+    real number that a float holds (a bool, complex or text is not one)."""
+    try:  # a float (numpy's too) or an exact int skips the ABC check, about 1 us
+        if isinstance(value, float) or type(value) is int or (
+                isinstance(value, numbers.Real) and not isinstance(value, bool)):
+            return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_finite(name, value, *, bound="non-negative"):
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real
+    number within ``bound``: "non-negative", "positive" or None (any sign)."""
+    if not (_finite_real(name, value) and (
+            bound is None or value > 0 or (value == 0 and bound == "non-negative"))):
+        sign = f"{bound} and " if bound else ""
+        raise ValueError(f"{name} must be {sign}finite, got {value}")
+
+
+def check_budget(name, k, m=None):
+    """Raise InfeasibleBudgetError naming ``name`` unless the edge budget ``k``
+    is in (0, m], or positive and finite when ``m`` is None (unknown)."""
+    if not (_finite_real(name, k) and 0 < k <= (math.inf if m is None else m)):
+        edges = "" if m is None else f" with m = {m} edges"
+        raise InfeasibleBudgetError(f"{name} must be in (0, m]{edges}, got {k}")
 
 
 def as_float_array(name, values, ndim=None, finite=False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InfeasibleBudgetError, as_float_array
+from .errors import as_float_array, check_budget, check_finite
 
 __all__ = ["ProjectionResult", "project_capped_simplex", "is_feasible"]
 
@@ -71,11 +71,7 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
         raise ValueError("raw edge vector must be 1-D, or a 2-D stack of them")
     if w.ndim == 2 and w.shape[0] == 0:
         raise ValueError("cannot project an empty stack")
-    m = w.shape[-1]
-    if not 0.0 < k <= m:
-        raise InfeasibleBudgetError(
-            f"edge budget k={k} outside the feasible range (0, {m}]"
-        )
+    check_budget("k", k, w.shape[-1])
     if start is not None:
         start = as_float_array("start", start)
         if start.ndim != 0 and (w.ndim != 2 or start.shape != w.shape[:1]):
@@ -91,10 +87,9 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
 
 
 def is_feasible(edges, k: float, tol: float = 1e-6) -> bool:
-    """True iff every weight is in [-tol, 1 + tol] and |sum - k| <= tol."""
-    w = as_float_array("edges", edges)
-    if not np.isfinite(w).all():
-        return False
-    if w.min(initial=0.0) < -tol or w.max(initial=0.0) > 1.0 + tol:
-        return False
-    return abs(float(w.sum()) - k) <= tol
+    """True iff each weight of 1-D ``edges`` is in [-tol, 1 + tol] and |sum - k| <= tol."""
+    check_finite("k", k, bound=None)
+    check_finite("tol", tol)
+    w = as_float_array("edges", edges, ndim=1)
+    return bool(np.isfinite(w).all() and -tol <= w.min(initial=0.0)
+                and w.max(initial=0.0) <= 1.0 + tol and abs(float(w.sum()) - k) <= tol)

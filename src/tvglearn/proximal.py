@@ -29,7 +29,7 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
     buffer, and the clip goes through a scratch of at most _CHUNK entries;
     ``v`` and ``beta`` are not written.
     """
-    check_finite("lam", lam, positive=True)
+    check_finite("lam", lam, bound="positive")
     check_finite("alpha", alpha)
     v = as_float_array("v", v)
     beta = as_float_array("beta", beta)

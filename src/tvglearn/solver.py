@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DivergenceError, InfeasibleBudgetError, SingularSystemError
-from .errors import as_float_array, check_finite, check_integer
+from .errors import DivergenceError, SingularSystemError
+from .errors import as_float_array, check_budget, check_finite, check_integer
 from .graphs import (
     _edge_energy_stack,
     _sq_dist_stack,
@@ -109,16 +109,13 @@ class SolverConfig:
         check_integer("max_iter", self.max_iter, 1)
         if self.window_len is not None:  # None: static fits span the record
             check_integer("window_len", self.window_len, 1)
-        if not (math.isfinite(self.k_budget) and self.k_budget > 0):
-            raise InfeasibleBudgetError(
-                f"k_budget must be positive and finite, got {self.k_budget}"
-            )
+        check_budget("k_budget", self.k_budget)
         for name in ("gamma", "eta", "alpha"):
             check_finite(name, getattr(self, name))
         for name in ("lam", "tau1", "tau2", "tol_obj", "tol_residual"):
             value = getattr(self, name)
             if value is not None:  # None: a tau sized from the first gradient
-                check_finite(name, value, positive=True)
+                check_finite(name, value, bound="positive")
         if self.tau2 is not None and self.tau2 * self.lam >= 2.0:
             # once |beta| is large, a dual step scales it by about
             # 1 - tau2 * lam, which grows without bound past this point
@@ -178,10 +175,12 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     A = C C^T as X = (C^-T C^-1) Y: the small (n, n) inverse is formed first,
     so the (n, s) signals go through one product.  The system matrix must be
     positive definite; the SingularSystemError raised otherwise names
-    ``window`` when one is given.  Raises ValueError on a non-finite gamma,
-    eta, weight or signal, on a block that is not (n, s) for the graph's n
-    nodes, and on a system whose assembly would overflow.
+    ``window`` when one is given.  Raises ValueError on a non-real or
+    non-finite gamma, eta, weight or signal, on a block that is not (n, s)
+    for the graph's n nodes, and on a system whose assembly would overflow.
     """
+    check_finite("gamma", gamma, bound=None)
+    check_finite("eta", eta, bound=None)
     y_block = as_float_array("y_block", y_block, finite=True)
     w = as_float_array("weights", weights)
     a = weight_matrix(w)  # checks the shape and the edge count
@@ -190,16 +189,14 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
             f"signal block of shape {y_block.shape} does not fit the edge "
             f"vector of shape {w.shape}: need ({a.shape[0]}, n_samples)"
         )
-    # no entry of the system, nor a degree, exceeds this bound in size, so
-    # the assembly overflows only if it does; a NaN or inf gamma, eta or
-    # weight makes it non-finite even on zero weights (inf * 0 is NaN), and
+    # no entry of the system, nor a degree, exceeds this bound in size, so the
+    # assembly overflows only if it does; a NaN or inf weight fails it too, and
     # fabs keeps it in Python floats, which raise no floating-point warning
     if not math.isfinite(
         (1.0 + math.fabs(gamma) + math.fabs(eta)) * float(np.abs(w).max()) * a.shape[0]
     ):
         raise ValueError(
-            "gamma and eta must be finite, the weights finite, and "
-            "I + gamma*L - eta*D must not overflow"
+            "the weights must be finite and I + gamma*L - eta*D must not overflow"
         )
     deg = a.sum(axis=1)
     a *= -gamma
@@ -361,12 +358,7 @@ def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
 
 def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitReport]:
     n = y_windows.shape[1]
-    m = n_edges(n)
-    if cfg.k_budget > m:
-        raise InfeasibleBudgetError(
-            f"k_budget={cfg.k_budget} exceeds the {m} edges of a "
-            f"{n}-node graph"
-        )
+    check_budget("k_budget", cfg.k_budget, n_edges(n))
     if cfg.eta > 0 and cfg.eta * (n - 1) >= 1.0:
         # stacklevel 3 names the line that called fit_dynamic or fit_static
         warnings.warn(

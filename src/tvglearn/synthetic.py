@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBudgetError, as_float_array, check_finite, check_integer
+from .errors import as_float_array, check_budget, check_finite, check_integer
 from .graphs import edge_pairs, n_edges, window_signals
 from .solver import update_x
 
@@ -37,13 +37,11 @@ class ScenarioSpec:
                               ("windows_per_segment", 1), ("window_len", 1),
                               ("seed", 0)):
             check_integer(name, getattr(self, name), minimum)
-        if not 0 < self.k_true <= n_edges(self.n_nodes):
-            raise InfeasibleBudgetError(
-                f"k_true={self.k_true} outside (0, {n_edges(self.n_nodes)}]"
-            )
+        check_budget("k_true", self.k_true, n_edges(self.n_nodes))
         check_finite("noise_sigma", self.noise_sigma)
-        check_finite("smooth_gamma", self.smooth_gamma, positive=True)
-        if not 0.0 <= self.zero_node_fraction < 1.0:
+        check_finite("smooth_gamma", self.smooth_gamma, bound="positive")
+        check_finite("zero_node_fraction", self.zero_node_fraction)
+        if self.zero_node_fraction >= 1.0:
             raise ValueError("zero_node_fraction must be in [0, 1)")
 
     @property
@@ -91,11 +89,7 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     zero_mask = np.zeros(n, dtype=bool)
     zero_mask[zero_nodes] = True
     allowed = np.flatnonzero(~zero_mask[i_idx] & ~zero_mask[j_idx])
-    if spec.k_true > allowed.size:
-        raise InfeasibleBudgetError(
-            f"k_true={spec.k_true} cannot fit in the {allowed.size} edges "
-            f"left after excluding {n_zero} zero nodes"
-        )
+    check_budget("k_true", spec.k_true, allowed.size)  # edges between nonzero nodes
 
     segments = np.zeros((spec.n_segments, m))
     for s in range(spec.n_segments):
@@ -139,8 +133,7 @@ def edge_f1(estimated, truth, k: int) -> float:
     if not np.all((truth == 0.0) | (truth == 1.0)):
         raise ValueError("truth must be a 0/1 edge vector")
     check_integer("k", k)
-    if not 0 < k <= estimated.shape[0]:
-        raise ValueError(f"k={k} outside (0, {estimated.shape[0]}]")
+    check_budget("k", k, estimated.shape[0])
 
     top = np.argsort(-estimated, kind="stable")[:k]
     true_set = truth > 0.0

@@ -232,6 +232,21 @@ def test_non_integer_int_field_is_rejected(cls, name, value):
     cls(**{**valid, name: np.int64(getattr(cls(**valid), name))})
 
 
+@pytest.mark.parametrize("value", [0.5 + 1j, "0.5", True, 10**400],
+                         ids=["complex", "text", "bool", "past the float range"])
+@pytest.mark.parametrize(
+    "cls, name", [(cls, name) for cls, name, _ in FLOAT_FIELDS],
+    ids=[f"{cls.__name__}.{name}" for cls, name, _ in FLOAT_FIELDS],
+)
+def test_non_real_float_field_is_refused(cls, name, value):
+    valid = VALID_KWARGS[cls]
+    match = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=match):
+        cls(**{**valid, name: value})
+    # numpy floats are real numbers
+    cls(**{**valid, name: np.float64(0.5)})
+
+
 class TestRun:
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     @pytest.mark.parametrize("kind", sorted(MALFORMED_CSVS))

@@ -1,11 +1,12 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tvglearn as tg
-from tvglearn.errors import as_float_array, check_integer
+from tvglearn.errors import InfeasibleBudgetError, as_float_array, check_finite, check_integer
 
 
 @pytest.mark.parametrize("value, minimum, match", [
@@ -18,6 +19,18 @@ def test_check_integer_bounds(value, minimum, match):
     with pytest.raises(ValueError, match=match):
         check_integer("k", value, minimum)
     check_integer("k", minimum, minimum)  # the bound itself passes
+
+
+@pytest.mark.parametrize("value, bound, match", [
+    (-1.0, "non-negative", "x must be non-negative and finite, got -1.0"),
+    (0.0, "positive", "x must be positive and finite, got 0.0"),
+    (np.inf, None, "x must be finite, got inf"),
+    (Fraction(10**400), None, "x must be a real number, got Fraction"),
+], ids=["non-negative", "positive", "any sign", "a rational past the float range"])
+def test_check_finite_bounds(value, bound, match):
+    with pytest.raises(ValueError, match=f"^{match}"):
+        check_finite("x", value, bound=bound)
+    check_finite("x", -0.5 if bound is None else 0.5, bound=bound)
 
 
 class TestAsFloatArray:
@@ -148,3 +161,41 @@ def test_non_finite_entries_are_worded_by_argument(call, name):
     bad[0, 1] = np.nan
     with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
         call(bad)
+
+
+# Each case calls one public function with ``v`` as one scalar argument and
+# names that argument: the valid real must run, and every value of
+# NON_REAL must be refused.
+SCALAR_CASES = {
+    "update_x gamma": ("gamma", 1.0, lambda v: tg.update_x(_Y, _W, v, 0.0)),
+    "update_x eta": ("eta", 0.0, lambda v: tg.update_x(_Y, _W, 1.0, v)),
+    "project_capped_simplex k": ("k", 1.0, lambda v: tg.project_capped_simplex(_W_SEQ, v)),
+    "prox_l1_linear alpha": ("alpha", 0.1, lambda v: tg.prox_l1_linear(_W, v, _W, 1.0)),
+    "prox_l1_linear lam": ("lam", 1.0, lambda v: tg.prox_l1_linear(_W, 0.1, _W, v)),
+    "is_feasible k": ("k", 1.0, lambda v: tg.is_feasible(_W, v)),
+    "is_feasible tol": ("tol", 1e-6, lambda v: tg.is_feasible(_W, 1.0, tol=v)),
+    "consensus": ("prob_threshold", 0.5, lambda v: tg.consensus(_W_SEQ, v, 0)),
+}
+NON_REAL = {"complex": 0.5 + 1j, "text": "0.5", "bool": True, "past the float range": 10**400}
+
+
+@pytest.mark.parametrize("bad", NON_REAL.values(), ids=NON_REAL.keys())
+@pytest.mark.parametrize("name, valid, call", SCALAR_CASES.values(), ids=SCALAR_CASES.keys())
+def test_non_real_scalar_is_refused_by_name(name, valid, call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+        match = rf"^{name} must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
+            call(bad)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k_budget", lambda: tg.SolverConfig(k_budget=0)),
+    ("k_budget", lambda: tg.fit_static(_Y, tg.SolverConfig(k_budget=4.0))),
+    ("k", lambda: tg.project_capped_simplex(np.zeros(3), 4.0)),
+    ("k_true", lambda: tg.ScenarioSpec(n_nodes=4, k_true=7)),
+], ids=["SolverConfig", "fit", "project_capped_simplex", "ScenarioSpec"])
+def test_budget_is_worded_once(name, call):
+    with pytest.raises(InfeasibleBudgetError, match=rf"^{name} must be in \(0, m\]"):
+        call()

@@ -227,6 +227,11 @@ class TestFeasibility:
     def test_non_finite_weights_are_infeasible(self, bad):
         assert not is_feasible([0.5, bad], 1.0)
 
+    def test_a_stack_is_not_judged_by_its_total(self):
+        # each row sums to 0.5, though the stack sums to 1
+        with pytest.raises(ValueError, match=r"^edges must be 1-D, got 2-D$"):
+            is_feasible(np.full((2, 3), 1 / 6), 1.0)
+
     def test_projection_outputs_always_feasible(self):
         rng = np.random.default_rng(3)
         for _ in range(300):

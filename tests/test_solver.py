@@ -157,15 +157,16 @@ class TestUpdateX:
         "gamma, eta", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)]
     )
     def test_non_finite_gamma_or_eta_rejected(self, gamma, eta):
-        with pytest.raises(ValueError, match="gamma and eta must be finite"):
+        name = "eta" if np.isfinite(gamma) else "gamma"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
             update_x(np.ones((3, 4)), np.full(3, 0.5), gamma, eta)
 
     @pytest.mark.parametrize("gamma", [np.inf, np.float64(np.inf), np.float64(np.nan)],
                              ids=["float inf", "numpy inf", "numpy nan"])
     def test_non_finite_gamma_rejected_on_zero_weights(self, gamma):
-        # the overflow bound is the only finiteness check: inf * 0 is NaN,
-        # and a numpy scalar's inf * 0 must not warn on the way
-        with pytest.raises(ValueError, match="gamma and eta must be finite"):
+        # gamma is checked before the system exists, where inf * 0 would be
+        # NaN, and a numpy scalar's inf must not warn on the way
+        with pytest.raises(ValueError, match="^gamma must be finite, got"):
             update_x(np.ones((3, 4)), np.zeros(3), gamma, 0.0)
 
 

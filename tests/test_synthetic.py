@@ -37,8 +37,10 @@ class TestSpec:
 
     @pytest.mark.parametrize("fields, error, match", [
         (dict(n_nodes=1, k_true=1), ValueError, "n_nodes must be at least 2"),
-        (dict(k_true=0), InfeasibleBudgetError, "k_true=0"),
-        (dict(n_nodes=4, k_true=7), InfeasibleBudgetError, "k_true=7"),
+        (dict(k_true=0), InfeasibleBudgetError,
+         r"^k_true must be in \(0, m\] with m = 66 edges, got 0$"),
+        (dict(n_nodes=4, k_true=7), InfeasibleBudgetError,
+         r"^k_true must be in \(0, m\] with m = 6 edges, got 7$"),
         (dict(n_segments=0), ValueError, "n_segments must be positive"),
         (dict(windows_per_segment=0), ValueError, "windows_per_segment must be positive"),
         (dict(seed=-1), ValueError, "seed must be non-negative, got -1"),
