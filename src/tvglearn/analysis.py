@@ -63,17 +63,12 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
     """
     mats = [as_float_array(f"trials[{i}]", t, ndim=2, finite=True)
             for i, t in enumerate(trials)]
-    if len(mats) < 2:
-        raise ValueError("need at least 2 trials")
+    check_integer("number of trials", len(mats), 2)
     shape = mats[0].shape
     if any(t.shape != shape for t in mats):
         raise ValueError("all trials must share the same shape")
-    if shape[1] == 0:
-        raise ValueError("each trial needs at least one sample")
-    n = shape[0]
-    check_integer("top_k", top_k)
-    if not 0 < top_k <= n:
-        raise ValueError(f"top_k={top_k} outside (0, {n}]")
+    check_integer("samples per trial", shape[1], 1)
+    check_integer("top_k", top_k, 1, shape[0])
 
     # (n, T, T): per node, r between its signals in every two trials
     r = _row_correlations(
@@ -104,10 +99,8 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
         raise ValueError(
             f"need a (n_trials, n_edges) graph stack, got shape {graphs.shape}"
         )
-    if graphs.shape[0] < 1:
-        raise ValueError("need at least one trial graph")
-    if graphs.shape[1] < 1:
-        raise ValueError("trial graphs need at least one edge")
+    check_integer("trial graphs of graph_per_trial", graphs.shape[0], 1)
+    check_integer("edges of graph_per_trial", graphs.shape[1], 1)
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)
     kept = (counts > count_threshold).astype(np.int64)
     return ConsensusGraph(counts=counts, kept=kept)
@@ -121,9 +114,9 @@ def graph_correlation_matrix(w_seq) -> np.ndarray:
     in its off-diagonal entries, with a warning.  A non-finite weight, or a
     sequence with no edges, raises ValueError.
     """
-    w_seq = as_float_array("w_seq", w_seq, finite=True)
-    if w_seq.ndim != 2 or w_seq.shape[0] < 2 or w_seq.shape[1] < 1:
-        raise ValueError("need a (n_windows >= 2, n_edges >= 1) graph sequence")
+    w_seq = as_float_array("w_seq", w_seq, ndim=2, finite=True)
+    check_integer("windows of w_seq", w_seq.shape[0], 2)
+    check_integer("edges of w_seq", w_seq.shape[1], 1)
 
     corr = np.clip(_row_correlations(
         w_seq, "graph with zero edge-weight variance; its correlations are set to 0"

@@ -54,16 +54,20 @@ class UsageError(TvgLearnError):
     """Bad command line or configuration input."""
 
 
-def check_integer(name, value, minimum=None):
+def check_integer(name, value, minimum=None, maximum=None):
     """Raise ValueError naming ``name`` unless ``value`` is an integer (a
-    bool is not one) of at least ``minimum``, when one is given."""
+    bool is not one) of at least ``minimum``, when one is given, and in
+    [minimum, maximum] when ``maximum`` is given too."""
     # an exact int skips the ABC check, which costs about half a microsecond
     # on every X-update's edge count
     if type(value) is not int and (
         isinstance(value, bool) or not isinstance(value, numbers.Integral)
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if maximum is not None:
+        if not minimum <= value <= maximum:
+            raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
+    elif minimum is not None and value < minimum:
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}, got {value}")
 

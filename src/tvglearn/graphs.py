@@ -35,6 +35,7 @@ __all__ = [
 
 def n_edges(n_nodes: int) -> int:
     """Number of undirected edges on ``n_nodes`` nodes."""
+    check_integer("n_nodes", n_nodes, 0)
     return n_nodes * (n_nodes - 1) // 2
 
 
@@ -49,18 +50,15 @@ def n_nodes_for_edges(m: int) -> int:
 
 def edge_pairs(n_nodes: int):
     """Arrays (i_idx, j_idx) of the node pair behind each edge index."""
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    check_integer("n_nodes", n_nodes, 2)
     return _kernels.triu_pairs(n_nodes)
 
 
 def as_signal_matrix(y) -> np.ndarray:
     """Validate and return a (n_nodes, n_samples) float64 signal matrix."""
     y = as_float_array("y", y, ndim=2, finite=True)
-    if y.shape[0] < 2:
-        raise ValueError(f"need at least 2 node rows, got {y.shape[0]}")
-    if y.shape[1] < 1:
-        raise ValueError("signal matrix has no samples")
+    check_integer("node rows of y", y.shape[0], 2)
+    check_integer("samples of y", y.shape[1], 1)
     return y
 
 
@@ -96,6 +94,7 @@ def weight_matrix(weights) -> np.ndarray:
 def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
     w_seq = as_float_array("w_seq", w_seq, ndim=2)
+    check_integer("windows of w_seq", w_seq.shape[0], 1)
     x_windows = as_float_array("x_windows", x_windows)
     if x_windows.ndim != 3 or x_windows.shape[0] != w_seq.shape[0]:
         raise ValueError("window count mismatch between signals and graphs")

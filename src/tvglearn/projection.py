@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import as_float_array, check_budget, check_finite
+from .errors import as_float_array, check_budget, check_finite, check_integer
 
 __all__ = ["ProjectionResult", "project_capped_simplex", "is_feasible"]
 
@@ -69,8 +69,8 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
     w = np.ascontiguousarray(as_float_array("raw", raw, finite=True))
     if w.ndim not in (1, 2):
         raise ValueError("raw edge vector must be 1-D, or a 2-D stack of them")
-    if w.ndim == 2 and w.shape[0] == 0:
-        raise ValueError("cannot project an empty stack")
+    if w.ndim == 2:
+        check_integer("rows of raw", w.shape[0], 1)
     check_budget("k", k, w.shape[-1])
     if start is not None:
         start = as_float_array("start", start)

@@ -70,11 +70,9 @@ class GroundTruth:
     def segment_of_window(self, t: int) -> int:
         """The segment that generated window ``t``; ValueError for a ``t``
         that is not an integer in [0, n_windows)."""
-        check_integer("t", t)
         n_windows = self.signals.shape[1] // self.window_len
-        if not 0 <= t < n_windows:
-            raise ValueError(f"window {t} outside [0, {n_windows})")
-        return t // (n_windows // self.segments.shape[0])
+        check_integer("t", t, 0, n_windows - 1)
+        return int(t) // (n_windows // self.segments.shape[0])
 
 
 def generate(spec: ScenarioSpec) -> GroundTruth:

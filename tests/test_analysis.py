@@ -87,9 +87,9 @@ class TestSelectConsistentNodes:
         ([np.arange(5.0)] * 2, 1, r"trials\[0\] must be 2-D, got 1-D"),
         ([np.zeros((2, 3, 4))] * 2, 1, r"trials\[0\] must be 2-D, got 3-D"),
         ([np.zeros((3, 5)), np.zeros((3, 6))], 1, "same shape"),
-        ([np.zeros((2, 0))] * 2, 1, "at least one sample"),
-        ([np.arange(15.0).reshape(3, 5)] * 2, 0, "outside"),
-        ([np.arange(15.0).reshape(3, 5)] * 2, 4, "outside"),
+        ([np.zeros((2, 0))] * 2, 1, "samples per trial must be positive, got 0"),
+        ([np.arange(15.0).reshape(3, 5)] * 2, 0, r"top_k must be in \[1, 3\], got 0"),
+        ([np.arange(15.0).reshape(3, 5)] * 2, 4, r"top_k must be in \[1, 3\], got 4"),
     ], ids=["1-D", "3-D", "ragged", "no-samples", "top_k=0", "top_k>n"])
     def test_malformed_trials_rejected(self, trials, top_k, match):
         with pytest.raises(ValueError, match=match):
@@ -139,14 +139,14 @@ class TestConsensus:
             consensus(np.ones((3, 4)), prob_threshold=threshold, count_threshold=0)
 
     def test_needs_one_trial_graph(self):
-        with pytest.raises(ValueError, match="at least one trial graph"):
+        with pytest.raises(ValueError, match="trial graphs of graph_per_trial must be positive, got 0"):
             consensus(np.zeros((0, 3)), prob_threshold=0.5, count_threshold=0)
 
     @pytest.mark.parametrize(
         "graphs", [[], np.zeros((2, 0))], ids=["empty list", "no edges"]
     )
     def test_graphs_without_edges_rejected(self, graphs):
-        with pytest.raises(ValueError, match="at least one edge"):
+        with pytest.raises(ValueError, match="edges of graph_per_trial must be positive, got 0"):
             consensus(graphs, prob_threshold=0.5, count_threshold=0)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 1.5, True])
@@ -225,7 +225,7 @@ class TestGraphCorrelationMatrix:
             graph_correlation_matrix(np.ones((1, 5)))
 
     def test_needs_edges(self):
-        with pytest.raises(ValueError, match="n_edges >= 1"):
+        with pytest.raises(ValueError, match="edges of w_seq must be positive, got 0"):
             graph_correlation_matrix(np.ones((2, 0)))
 
 

@@ -9,16 +9,21 @@ import tvglearn as tg
 from tvglearn.errors import InfeasibleBudgetError, as_float_array, check_finite, check_integer
 
 
-@pytest.mark.parametrize("value, minimum, match", [
-    (-1, 0, "k must be non-negative, got -1"),
-    (0, 1, "k must be positive, got 0"),
-    (1, 2, "k must be at least 2, got 1"),
-    (True, 0, "k must be an integer, got True"),
-], ids=["non-negative", "positive", "at least 2", "bool"])
-def test_check_integer_bounds(value, minimum, match):
-    with pytest.raises(ValueError, match=match):
-        check_integer("k", value, minimum)
-    check_integer("k", minimum, minimum)  # the bound itself passes
+@pytest.mark.parametrize("value, minimum, maximum, match", [
+    (-1, 0, None, "k must be non-negative, got -1"),
+    (0, 1, None, "k must be positive, got 0"),
+    (1, 2, None, "k must be at least 2, got 1"),
+    (True, 0, None, "k must be an integer, got True"),
+    (0, 1, 3, r"k must be in \[1, 3\], got 0"),
+    (4, 1, 3, r"k must be in \[1, 3\], got 4"),
+    (np.int64(-1), 0, 0, r"k must be in \[0, 0\], got -1"),
+], ids=["non-negative", "positive", "at least 2", "bool", "below [1, 3]", "above [1, 3]",
+        "outside [0, 0]"])
+def test_check_integer_bounds(value, minimum, maximum, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        check_integer("k", value, minimum, maximum)
+    check_integer("k", minimum, minimum, maximum)  # the bounds themselves pass
+    check_integer("k", maximum or minimum, minimum, maximum)
 
 
 @pytest.mark.parametrize("value, bound, match", [
@@ -199,3 +204,75 @@ def test_non_real_scalar_is_refused_by_name(name, valid, call, bad):
 def test_budget_is_worded_once(name, call):
     with pytest.raises(InfeasibleBudgetError, match=rf"^{name} must be in \(0, m\]"):
         call()
+
+
+_TWO_WINDOWS = tg.generate(tg.ScenarioSpec(
+    n_nodes=3, k_true=1, n_segments=2, windows_per_segment=1, window_len=4))
+
+# Each case calls one public function with ``v`` as one count, either a count
+# argument or the extent of one array argument, and names that count: the
+# valid count must run, also as an np.int64, and the count out of range must
+# be refused with its bound's one wording.
+COUNT_CASES = {
+    "n_edges": ("n_nodes", 0, -3, "non-negative", tg.n_edges),
+    "edge_pairs": ("n_nodes", 3, 1, "at least 2", tg.edge_pairs),
+    "select_consistent_nodes top_k": (
+        "top_k", 3, 4, r"in \[1, 3\]",
+        lambda v: tg.select_consistent_nodes([_Y, _Y[::-1]], v)),
+    "segment_of_window": (
+        "t", 1, 2, r"in \[0, 1\]", _TWO_WINDOWS.segment_of_window),
+    "as_signal_matrix nodes": (
+        "node rows of y", 3, 1, "at least 2", lambda v: tg.as_signal_matrix(_Y[:v])),
+    "as_signal_matrix samples": (
+        "samples of y", 8, 0, "positive", lambda v: tg.as_signal_matrix(_Y[:, :v])),
+    "objective windows": (
+        "windows of w_seq", 2, 0, "positive",
+        lambda v: tg.objective(_Y_WIN[:v], _Y_WIN[:v], _W_SEQ[:v], **_OBJ)),
+    "select_consistent_nodes trials": (
+        "number of trials", 2, 1, "at least 2",
+        lambda v: tg.select_consistent_nodes([_Y, _Y[::-1]][:v], 1)),
+    "select_consistent_nodes samples": (
+        "samples per trial", 8, 0, "positive",
+        lambda v: tg.select_consistent_nodes([_Y[:, :v], _Y[::-1, :v]], 1)),
+    "consensus trial graphs": (
+        "trial graphs of graph_per_trial", 2, 0, "positive",
+        lambda v: tg.consensus(_W_SEQ[:v], 0.5, 0)),
+    "consensus edges": (
+        "edges of graph_per_trial", 3, 0, "positive",
+        lambda v: tg.consensus(_W_SEQ[:, :v], 0.5, 0)),
+    "graph_correlation_matrix windows": (
+        "windows of w_seq", 2, 1, "at least 2",
+        lambda v: tg.graph_correlation_matrix(_W_SEQ[:v])),
+    "graph_correlation_matrix edges": (
+        "edges of w_seq", 3, 0, "positive",
+        lambda v: tg.graph_correlation_matrix(_W_SEQ[:, :v])),
+    "project_capped_simplex rows": (
+        "rows of raw", 2, 0, "positive", lambda v: tg.project_capped_simplex(_W_SEQ[:v], 1.0)),
+}
+# the cases whose count is itself an argument, not an array's extent
+COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window"]
+NON_INTEGER = {"float": 2.5, "nan": np.nan, "text": "3", "complex": 3 + 0j, "bool": True}
+
+
+@pytest.mark.parametrize("name, valid, bad, wording, call", COUNT_CASES.values(),
+                         ids=COUNT_CASES.keys())
+def test_count_out_of_range_gets_its_one_wording(name, valid, bad, wording, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+        call(np.int64(valid))
+        match = rf"^{re.escape(name)} must be {wording}, got {bad}$"
+        with pytest.raises(ValueError, match=match):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER.values(), ids=NON_INTEGER.keys())
+@pytest.mark.parametrize("case", COUNT_ARGUMENTS)
+def test_non_integer_count_is_refused_by_name(case, bad):
+    name, valid, _, _, call = COUNT_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+        match = rf"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
+            call(bad)

@@ -28,7 +28,7 @@ class TestEdgeIndexing:
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_edge_pairs_need_two_nodes(self, n_nodes):
-        with pytest.raises(ValueError, match="at least 2 nodes"):
+        with pytest.raises(ValueError, match=f"n_nodes must be at least 2, got {n_nodes}"):
             graphs.edge_pairs(n_nodes)
 
     def test_edge_vector_must_be_one_dimensional(self):
@@ -78,7 +78,8 @@ class TestTerms:
         (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "window count"),
         (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4), "share a shape"),
-    ], ids=["3-D graphs", "1-D graph", "window count", "2-D signals", "Y shape"])
+        (np.zeros((0, 3)), np.zeros((0, 3, 2)), (0, 3, 2), "windows of w_seq must be positive"),
+    ], ids=["3-D graphs", "1-D graph", "window count", "2-D signals", "Y shape", "no window"])
     def test_objective_rejects_mismatched_stacks(self, w_seq, x_windows, y_shape, match):
         with pytest.raises(ValueError, match=match):
             graphs.objective(np.zeros(y_shape), x_windows, w_seq,
@@ -257,5 +258,5 @@ class TestWindowing:
             graphs.as_signal_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             graphs.as_signal_matrix(np.zeros(5))
-        with pytest.raises(ValueError, match="no samples"):
+        with pytest.raises(ValueError, match="samples of y must be positive, got 0"):
             graphs.as_signal_matrix(np.zeros((3, 0)))

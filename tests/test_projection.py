@@ -131,7 +131,7 @@ class TestStack:
             project_capped_simplex(stack[0], 1.0, start=np.zeros(1))
         with pytest.raises(ValueError):
             project_capped_simplex(np.zeros((2, 2, 2)), 1.0)
-        with pytest.raises(ValueError, match="empty stack"):
+        with pytest.raises(ValueError, match="rows of raw must be positive, got 0"):
             project_capped_simplex(np.zeros((0, 4)), 1.0)
 
 

@@ -500,7 +500,7 @@ class TestFits:
 
     @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
     def test_record_without_samples_rejected(self, fit):
-        with pytest.raises(ValueError, match="no samples"):
+        with pytest.raises(ValueError, match="samples of y must be positive, got 0"):
             fit(np.zeros((3, 0)), SolverConfig(k_budget=1.0, window_len=4))
 
     def test_infeasible_budget_detected(self):

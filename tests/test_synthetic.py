@@ -113,13 +113,18 @@ class TestGenerate:
     @pytest.mark.parametrize("t", [-1, 6, 99])
     def test_segment_of_window_rejects_windows_outside_the_record(self, t):
         truth = generate(_spec())  # 6 windows
-        with pytest.raises(ValueError, match=rf"window {t} outside \[0, 6\)"):
+        with pytest.raises(ValueError, match=rf"t must be in \[0, 5\], got {t}"):
             truth.segment_of_window(t)
 
     @pytest.mark.parametrize("t", [1.0, True])
     def test_segment_of_window_rejects_a_non_integer_window(self, t):
         with pytest.raises(ValueError, match="t must be an integer"):
             generate(_spec()).segment_of_window(t)
+
+    @pytest.mark.parametrize("t", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+    def test_segment_of_window_returns_a_python_int(self, t):
+        segment = generate(_spec()).segment_of_window(t)  # 6 windows, 3 per segment
+        assert type(segment) is int and segment == 1
 
     def test_zero_nodes_are_silent_and_isolated(self):
         spec = _spec(zero_node_fraction=0.25, noise_sigma=0.0)
