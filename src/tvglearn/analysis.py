@@ -59,16 +59,17 @@ def select_consistent_nodes(trials, top_k: int) -> list[int]:
 
     A node with zero variance in some trial contributes correlation 0 for
     the pairs involving that trial (with a warning).  A non-finite sample,
-    or trials with no samples, raise ValueError.
+    ragged trials, or trials with no nodes or samples raise ValueError.
     """
-    mats = [as_float_array(f"trials[{i}]", t, ndim=2, finite=True)
-            for i, t in enumerate(trials)]
+    mats = []
+    for i, t in enumerate(trials):  # each trial must have the first one's shape
+        shape = mats[0].shape if mats else (None, None)
+        mats.append(as_float_array(f"trials[{i}]", t, shape, finite=True))
     check_integer("number of trials", len(mats), 2)
-    shape = mats[0].shape
-    if any(t.shape != shape for t in mats):
-        raise ValueError("all trials must share the same shape")
-    check_integer("samples per trial", shape[1], 1)
-    check_integer("top_k", top_k, 1, shape[0])
+    n, samples = mats[0].shape
+    check_integer("node rows per trial", n, 1)
+    check_integer("samples per trial", samples, 1)
+    check_integer("top_k", top_k, 1, n)
 
     # (n, T, T): per node, r between its signals in every two trials
     r = _row_correlations(
@@ -94,11 +95,8 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     check_finite("prob_threshold", prob_threshold, bound=None)
     # a negative threshold would keep edges that no trial retained
     check_integer("count_threshold", count_threshold, 0)
-    graphs = np.atleast_2d(as_float_array("graph_per_trial", graph_per_trial, finite=True))
-    if graphs.ndim > 2:
-        raise ValueError(
-            f"need a (n_trials, n_edges) graph stack, got shape {graphs.shape}"
-        )
+    graphs = as_float_array(
+        "graph_per_trial", np.atleast_2d(graph_per_trial), (None, None), finite=True)
     check_integer("trial graphs of graph_per_trial", graphs.shape[0], 1)
     check_integer("edges of graph_per_trial", graphs.shape[1], 1)
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)
@@ -114,7 +112,7 @@ def graph_correlation_matrix(w_seq) -> np.ndarray:
     in its off-diagonal entries, with a warning.  A non-finite weight, or a
     sequence with no edges, raises ValueError.
     """
-    w_seq = as_float_array("w_seq", w_seq, ndim=2, finite=True)
+    w_seq = as_float_array("w_seq", w_seq, (None, None), finite=True)
     check_integer("windows of w_seq", w_seq.shape[0], 2)
     check_integer("edges of w_seq", w_seq.shape[1], 1)
 

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -54,22 +55,23 @@ class UsageError(TvgLearnError):
     """Bad command line or configuration input."""
 
 
-def check_integer(name, value, minimum=None, maximum=None):
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
-    bool is not one) of at least ``minimum``, when one is given, and in
-    [minimum, maximum] when ``maximum`` is given too."""
+def check_integer(name, value, minimum=None, maximum=None) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer (a bool is not one) of at least ``minimum``, when one is given,
+    and in [minimum, maximum] when ``maximum`` is given too."""
     # an exact int skips the ABC check, which costs about half a microsecond
     # on every X-update's edge count
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)  # a numpy integer's arithmetic wraps
     if maximum is not None:
         if not minimum <= value <= maximum:
             raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
     elif minimum is not None and value < minimum:
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _finite_real(name, value) -> bool:
@@ -101,16 +103,24 @@ def check_budget(name, k, m=None):
         raise InfeasibleBudgetError(f"{name} must be in (0, m]{edges}, got {k}")
 
 
-def as_float_array(name, values, ndim=None, finite=False):
+def as_float_array(name, values, shape=None, finite=False):
     """``values`` as a float64 array; ValueError naming ``name`` if it is complex,
-    not ``ndim``-D (when given) or, with ``finite``, holds a NaN or an inf."""
+    with ``finite``, holds a NaN or an inf, or does not fit ``shape`` (when
+    given: one extent per axis, None for any)."""
     array = np.asarray(values)
     if array.dtype != np.float64:
         if array.dtype.kind == "c":  # the cast would drop the imaginary part
             raise ValueError(f"{name} must be real, got {array.dtype}")
         array = array.astype(np.float64)
-    if ndim is not None and array.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-D, got {array.ndim}-D")
     if finite and not np.isfinite(array).all():
         raise ValueError(f"{name} has non-finite entries")
+    if shape is not None:
+        if array.ndim != len(shape):
+            raise ValueError(f"{name} must be {len(shape)}-D, got {array.ndim}-D")
+        if shape.count(None) != len(shape):  # a rank-only shape skips the loop, ~0.3 us
+            for want, got in zip(shape, array.shape):
+                if want is not None and want != got:
+                    expected = repr(tuple("*" if e is None else e for e in shape))
+                    expected = expected.replace("'", "")  # (20, *), not (20, '*')
+                    raise ValueError(f"{name} must have shape {expected}, got {array.shape}")
     return array

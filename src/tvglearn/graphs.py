@@ -35,7 +35,7 @@ __all__ = [
 
 def n_edges(n_nodes: int) -> int:
     """Number of undirected edges on ``n_nodes`` nodes."""
-    check_integer("n_nodes", n_nodes, 0)
+    n_nodes = check_integer("n_nodes", n_nodes, 0)
     return n_nodes * (n_nodes - 1) // 2
 
 
@@ -56,7 +56,7 @@ def edge_pairs(n_nodes: int):
 
 def as_signal_matrix(y) -> np.ndarray:
     """Validate and return a (n_nodes, n_samples) float64 signal matrix."""
-    y = as_float_array("y", y, ndim=2, finite=True)
+    y = as_float_array("y", y, (None, None), finite=True)
     check_integer("node rows of y", y.shape[0], 2)
     check_integer("samples of y", y.shape[1], 1)
     return y
@@ -82,7 +82,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
 
 def weight_matrix(weights) -> np.ndarray:
     """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
-    w = as_float_array("weights", weights, ndim=1)
+    w = as_float_array("weights", weights, (None,))
     n = n_nodes_for_edges(w.shape[0])
     mat = np.zeros(n * n)
     mat[_kernels.triu_flat(n)] = w
@@ -93,18 +93,10 @@ def weight_matrix(weights) -> np.ndarray:
 
 def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
-    w_seq = as_float_array("w_seq", w_seq, ndim=2)
-    check_integer("windows of w_seq", w_seq.shape[0], 1)
-    x_windows = as_float_array("x_windows", x_windows)
-    if x_windows.ndim != 3 or x_windows.shape[0] != w_seq.shape[0]:
-        raise ValueError("window count mismatch between signals and graphs")
+    w_seq = as_float_array("w_seq", w_seq, (None, None))
+    b = check_integer("windows of w_seq", w_seq.shape[0], 1)
     n = n_nodes_for_edges(w_seq.shape[1])
-    if x_windows.shape[1] != n:
-        raise ValueError(
-            f"signal blocks with {x_windows.shape[1]} rows do not match "
-            f"graphs on {n} nodes"
-        )
-    return w_seq, x_windows
+    return w_seq, as_float_array("x_windows", x_windows, (b, n, None))
 
 
 def _sq_dist_stack(x_windows) -> np.ndarray:
@@ -137,8 +129,9 @@ def _energy(w_seq, x_windows) -> float:
 def smoothness_term(weights, x) -> float:
     """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2 = tr(x^T L(W) x),
     computed as the objective computes it for one window."""
-    w, x = as_float_array("weights", weights, ndim=1), as_float_array("x", x)
-    return _smoothness(*_check_stacks(w[np.newaxis], x[np.newaxis]))
+    w = as_float_array("weights", weights, (None,))
+    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0]), None))
+    return _smoothness(w[np.newaxis], x[np.newaxis])
 
 
 def energy_penalty_term(weights, x) -> float:
@@ -147,14 +140,15 @@ def energy_penalty_term(weights, x) -> float:
 
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
-    w, x = as_float_array("weights", weights, ndim=1), as_float_array("x", x)
-    return _energy(*_check_stacks(w[np.newaxis], x[np.newaxis]))
+    w = as_float_array("weights", weights, (None,))
+    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0]), None))
+    return _energy(w[np.newaxis], x[np.newaxis])
 
 
 def change_profile(w_seq) -> np.ndarray:
     """l1 distances ||W_t - W_{t+1}||_1 between consecutive edge vectors;
     empty for a one-window sequence."""
-    w_seq = as_float_array("w_seq", w_seq, ndim=2)
+    w_seq = as_float_array("w_seq", w_seq, (None, None))
     change = np.subtract(w_seq[1:], w_seq[:-1])  # empty for one window
     return np.abs(change, out=change).sum(axis=1)
 
@@ -166,9 +160,7 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     plus alpha * sum_t ||W_t - W_{t+1}||_1.
     """
     w_seq, x_windows = _check_stacks(w_seq, x_windows)
-    y_windows = as_float_array("y_windows", y_windows)
-    if y_windows.shape != x_windows.shape:
-        raise ValueError("Y and X window stacks must share a shape")
+    y_windows = as_float_array("y_windows", y_windows, x_windows.shape)
 
     # each term's (b, m) stack is freed before the next is made, and before
     # the window-sized residual buffer, to keep the peak memory low

@@ -90,6 +90,6 @@ def is_feasible(edges, k: float, tol: float = 1e-6) -> bool:
     """True iff each weight of 1-D ``edges`` is in [-tol, 1 + tol] and |sum - k| <= tol."""
     check_finite("k", k, bound=None)
     check_finite("tol", tol)
-    w = as_float_array("edges", edges, ndim=1)
+    w = as_float_array("edges", edges, (None,))
     return bool(np.isfinite(w).all() and -tol <= w.min(initial=0.0)
                 and w.max(initial=0.0) <= 1.0 + tol and abs(float(w.sum()) - k) <= tol)

@@ -32,9 +32,7 @@ def prox_l1_linear(v, alpha: float, beta, lam: float):
     check_finite("lam", lam, bound="positive")
     check_finite("alpha", alpha)
     v = as_float_array("v", v)
-    beta = as_float_array("beta", beta)
-    if beta.shape != v.shape:
-        raise ValueError(f"beta shape {beta.shape} does not match v {v.shape}")
+    beta = as_float_array("beta", beta, v.shape)
     s = lam * alpha
     check_finite("lam * alpha", s)
     out = np.empty(v.shape)  # C-ordered, so its flat view is the buffer itself

@@ -181,14 +181,9 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     """
     check_finite("gamma", gamma, bound=None)
     check_finite("eta", eta, bound=None)
-    y_block = as_float_array("y_block", y_block, finite=True)
     w = as_float_array("weights", weights)
     a = weight_matrix(w)  # checks the shape and the edge count
-    if y_block.ndim != 2 or y_block.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"signal block of shape {y_block.shape} does not fit the edge "
-            f"vector of shape {w.shape}: need ({a.shape[0]}, n_samples)"
-        )
+    y_block = as_float_array("y_block", y_block, (a.shape[0], None), finite=True)
     # no entry of the system, nor a degree, exceeds this bound in size, so the
     # assembly overflows only if it does; a NaN or inf weight fails it too, and
     # fabs keeps it in Python floats, which raise no floating-point warning
@@ -226,7 +221,9 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
         - beta_t + beta_{t-1}
     with the convention that the boundary windows lack one coupling term.
     """
-    x, beta = as_float_array("x", x), as_float_array("beta", beta)
+    x = as_float_array("x", x, (None, None, None))
+    b = check_integer("windows of x", x.shape[0], 1)
+    beta = as_float_array("beta", beta, (b - 1, n_edges(x.shape[1])))
     grad = _sq_dist_stack(x)
     grad *= cfg.gamma
     if cfg.eta != 0.0:
@@ -261,7 +258,9 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
 
     The new X depends on Y and W alone, and the new Z on W and beta, so
     neither ``state.x`` nor ``state.z`` is read; either may be None.
+    ``y_windows`` is the (b, n, s) record, one window per row of ``state.w``.
     """
+    y_windows = as_float_array("y_windows", y_windows, (len(state.w), None, None))
     x_new = np.empty(y_windows.shape)
     for t in range(len(state.w)):
         x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)

@@ -71,8 +71,8 @@ class GroundTruth:
         """The segment that generated window ``t``; ValueError for a ``t``
         that is not an integer in [0, n_windows)."""
         n_windows = self.signals.shape[1] // self.window_len
-        check_integer("t", t, 0, n_windows - 1)
-        return int(t) // (n_windows // self.segments.shape[0])
+        t = check_integer("t", t, 0, n_windows - 1)
+        return t // (n_windows // self.segments.shape[0])
 
 
 def generate(spec: ScenarioSpec) -> GroundTruth:
@@ -124,10 +124,8 @@ def edge_f1(estimated, truth, k: int) -> float:
 
     Ties in the estimate break toward the lower edge index.
     """
-    estimated = as_float_array("estimated", estimated, finite=True)
-    truth = as_float_array("truth", truth)
-    if estimated.shape != truth.shape:
-        raise ValueError("estimate and truth must have the same edge count")
+    estimated = as_float_array("estimated", estimated, (None,), finite=True)
+    truth = as_float_array("truth", truth, estimated.shape)
     if not np.all((truth == 0.0) | (truth == 1.0)):
         raise ValueError("truth must be a 0/1 edge vector")
     check_integer("k", k)

@@ -86,11 +86,13 @@ class TestSelectConsistentNodes:
     @pytest.mark.parametrize("trials, top_k, match", [
         ([np.arange(5.0)] * 2, 1, r"trials\[0\] must be 2-D, got 1-D"),
         ([np.zeros((2, 3, 4))] * 2, 1, r"trials\[0\] must be 2-D, got 3-D"),
-        ([np.zeros((3, 5)), np.zeros((3, 6))], 1, "same shape"),
+        ([np.zeros((3, 5)), np.zeros((3, 6))], 1,
+         r"trials\[1\] must have shape \(3, 5\), got \(3, 6\)"),
         ([np.zeros((2, 0))] * 2, 1, "samples per trial must be positive, got 0"),
+        ([np.zeros((0, 5))] * 2, 1, "node rows per trial must be positive, got 0"),
         ([np.arange(15.0).reshape(3, 5)] * 2, 0, r"top_k must be in \[1, 3\], got 0"),
         ([np.arange(15.0).reshape(3, 5)] * 2, 4, r"top_k must be in \[1, 3\], got 4"),
-    ], ids=["1-D", "3-D", "ragged", "no-samples", "top_k=0", "top_k>n"])
+    ], ids=["1-D", "3-D", "ragged", "no-samples", "no-nodes", "top_k=0", "top_k>n"])
     def test_malformed_trials_rejected(self, trials, top_k, match):
         with pytest.raises(ValueError, match=match):
             select_consistent_nodes(trials, top_k=top_k)
@@ -113,7 +115,7 @@ class TestConsensus:
         np.testing.assert_array_equal(result.counts, [1, 0, 1])
 
     def test_stack_of_more_than_two_dimensions_rejected(self):
-        with pytest.raises(ValueError, match=r"\(n_trials, n_edges\) graph stack"):
+        with pytest.raises(ValueError, match=r"^graph_per_trial must be 2-D, got 3-D$"):
             consensus(np.ones((2, 3, 4)), prob_threshold=0.5, count_threshold=1)
 
     def test_unanimous_trials_survive_count_threshold(self):

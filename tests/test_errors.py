@@ -26,6 +26,12 @@ def test_check_integer_bounds(value, minimum, maximum, match):
     check_integer("k", maximum or minimum, minimum, maximum)
 
 
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+def test_check_integer_returns_a_python_int(value):
+    got = check_integer("k", value, 0)
+    assert type(got) is int and got == 3
+
+
 @pytest.mark.parametrize("value, bound, match", [
     (-1.0, "non-negative", "x must be non-negative and finite, got -1.0"),
     (0.0, "positive", "x must be positive and finite, got 0.0"),
@@ -42,7 +48,7 @@ class TestAsFloatArray:
     def test_float64_input_is_returned_as_is(self):
         # window_signals hands out views of the caller's record
         values = np.ones((2, 3))
-        assert as_float_array("y", values, ndim=2, finite=True) is values
+        assert as_float_array("y", values, (None, None), finite=True) is values
 
     @pytest.mark.parametrize("values", [[1, 2], [True, False], np.arange(2, dtype=np.float32),
                                         np.arange(2.0).astype(">f8"), ["1.5", "2"]],
@@ -63,10 +69,17 @@ class TestAsFloatArray:
 
     def test_rank_wording(self):
         with pytest.raises(ValueError, match=r"^y must be 2-D, got 1-D$"):
-            as_float_array("y", np.zeros(3), ndim=2)
+            as_float_array("y", np.zeros(3), (None, None))
         with pytest.raises(ValueError, match=r"^y must be 0-D, got 1-D$"):
-            as_float_array("y", [1.0], ndim=0)
-        assert as_float_array("y", [1.0]).ndim == 1  # no ndim, no rank rule
+            as_float_array("y", [1.0], ())
+        assert as_float_array("y", [1.0]).ndim == 1  # no shape, no rank rule
+
+    def test_extent_wording(self):
+        with pytest.raises(ValueError, match=r"^y must have shape \(20, \*\), got \(19, 200\)$"):
+            as_float_array("y", np.zeros((19, 200)), (20, None))
+        with pytest.raises(ValueError, match=r"^y must have shape \(3,\), got \(2,\)$"):
+            as_float_array("y", np.zeros(2), (3,))
+        assert as_float_array("y", np.zeros((20, 7)), (20, None)).shape == (20, 7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finiteness_wording(self, bad):
@@ -110,8 +123,7 @@ COMPLEX_CASES = {
     "update_x weights": ("weights", lambda z: tg.update_x(_Y, _W + z, 1.0, 0.0)),
     "grad_w x": ("x", lambda z: tg.grad_w(_Y_WIN + z, _BETA, _CFG)),
     "grad_w beta": ("beta", lambda z: tg.grad_w(_Y_WIN, _BETA + z, _CFG)),
-    # step hands each window of its record to update_x
-    "step": ("y_block", lambda z: tg.step(_STATE, _Y_WIN + z, _CFG)),
+    "step": ("y_windows", lambda z: tg.step(_STATE, _Y_WIN + z, _CFG)),
     "project_capped_simplex raw": ("raw", lambda z: tg.project_capped_simplex(_W_SEQ + z, 1.0)),
     "project_capped_simplex start": (
         "start", lambda z: tg.project_capped_simplex(_W_SEQ, 1.0, start=np.zeros(2) + z)),
@@ -248,6 +260,11 @@ COUNT_CASES = {
         lambda v: tg.graph_correlation_matrix(_W_SEQ[:, :v])),
     "project_capped_simplex rows": (
         "rows of raw", 2, 0, "positive", lambda v: tg.project_capped_simplex(_W_SEQ[:v], 1.0)),
+    "select_consistent_nodes nodes": (
+        "node rows per trial", 3, 0, "positive",
+        lambda v: tg.select_consistent_nodes([_Y[:v], _Y[::-1][:v]], 1)),
+    "grad_w windows": (
+        "windows of x", 2, 0, "positive", lambda v: tg.grad_w(_Y_WIN[:v], _BETA, _CFG)),
 }
 # the cases whose count is itself an argument, not an array's extent
 COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window"]
@@ -276,3 +293,71 @@ def test_non_integer_count_is_refused_by_name(case, bad):
         match = rf"^{name} must be an integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=match):
             call(bad)
+
+
+_X3 = tg.window_signals(_Y[:, :6], 2)  # 3 windows of 2 samples
+_BETA3 = np.zeros((2, 3))
+
+# Each case calls one public function with ``a`` as one array argument: the
+# valid array must run, and the mis-shaped one must be refused with the full
+# wording of the rank or the shape rule, naming that argument.
+SHAPE_CASES = {
+    "update_x y_block": (
+        _Y, _Y[:2], "y_block must have shape (3, *), got (2, 8)",
+        lambda a: tg.update_x(a, _W, 1.0, 0.0)),
+    "objective x_windows": (
+        _Y_WIN, _Y_WIN[:1], "x_windows must have shape (2, 3, *), got (1, 3, 4)",
+        lambda a: tg.objective(_Y_WIN, a, _W_SEQ, **_OBJ)),
+    "objective y_windows": (
+        _Y_WIN, _Y_WIN[..., :3], "y_windows must have shape (2, 3, 4), got (2, 3, 3)",
+        lambda a: tg.objective(a, _Y_WIN, _W_SEQ, **_OBJ)),
+    "smoothness_term x": (
+        _Y, _Y[0], "x must be 2-D, got 1-D", lambda a: tg.smoothness_term(_W, a)),
+    "energy_penalty_term x": (
+        _Y, _Y[:2], "x must have shape (3, *), got (2, 8)",
+        lambda a: tg.energy_penalty_term(_W, a)),
+    "prox_l1_linear beta": (
+        _W, _W[:2], "beta must have shape (3,), got (2,)",
+        lambda a: tg.prox_l1_linear(_W, 0.1, a, 1.0)),
+    "select_consistent_nodes": (
+        _Y[::-1], _Y[:, :6], "trials[1] must have shape (3, 8), got (3, 6)",
+        lambda a: tg.select_consistent_nodes([_Y, a], 1)),
+    "consensus": (
+        _W_SEQ, _W_SEQ[np.newaxis], "graph_per_trial must be 2-D, got 3-D",
+        lambda a: tg.consensus(a, 0.5, 0)),
+    # two (6, 6) stacks, estimate and truth alike
+    "edge_f1 estimated": (
+        _W, np.eye(6), "estimated must be 1-D, got 2-D",
+        lambda a: tg.edge_f1(a, np.ones_like(a), 1)),
+    "edge_f1 truth": (
+        _TRUTH, _TRUTH[:2], "truth must have shape (3,), got (2,)",
+        lambda a: tg.edge_f1(_W, a, 1)),
+    "grad_w x": (_X3, _X3[0], "x must be 3-D, got 2-D", lambda a: tg.grad_w(a, _BETA3, _CFG)),
+    "grad_w beta": (
+        _BETA3, _BETA3[:1], "beta must have shape (2, 3), got (1, 3)",
+        lambda a: tg.grad_w(_X3, a, _CFG)),
+    "grad_w beta of one window": (
+        _BETA3, _BETA3[0], "beta must be 2-D, got 1-D", lambda a: tg.grad_w(_X3, a, _CFG)),
+    "step": (
+        _Y_WIN, _Y_WIN[:1], "y_windows must have shape (2, *, *), got (1, 3, 4)",
+        lambda a: tg.step(_STATE, a, _CFG)),
+}
+
+
+@pytest.mark.parametrize("valid, bad, message, call", SHAPE_CASES.values(),
+                         ids=SHAPE_CASES.keys())
+def test_mis_shaped_array_is_refused_by_name(valid, bad, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call(bad)
+
+
+def test_step_takes_a_list_record_as_it_takes_the_array():
+    from_array = tg.step(_STATE, _Y_WIN, _CFG)
+    from_list = tg.step(_STATE, _Y_WIN.tolist(), _CFG)
+    for field in ("x", "w", "z", "beta", "kappa"):
+        assert getattr(from_list, field).tobytes() == getattr(from_array, field).tobytes()
+    assert (from_list.objective, from_list.residual, from_list.steps) == (
+        from_array.objective, from_array.residual, from_array.steps)

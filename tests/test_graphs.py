@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ class TestEdgeIndexing:
     def test_edge_count_roundtrip(self):
         for n in range(2, 30):
             assert graphs.n_nodes_for_edges(graphs.n_edges(n)) == n
+
+    @pytest.mark.parametrize("n_nodes", [np.int64(20), np.int64(2**32), np.uint8(200)],
+                             ids=["int64", "int64 2**32", "uint8"])
+    def test_edge_count_of_a_numpy_count_is_an_exact_python_int(self, n_nodes):
+        # numpy integer arithmetic would wrap (a RuntimeWarning, or silently
+        # for uint8); the count is taken as a Python int first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = graphs.n_edges(n_nodes)
+        assert type(got) is int and got == int(n_nodes) * (int(n_nodes) - 1) // 2
 
     @pytest.mark.parametrize("m", [4, 0, -1, 3.0, True])
     def test_bad_edge_count(self, m):
@@ -75,9 +87,11 @@ class TestTerms:
     @pytest.mark.parametrize("w_seq, x_windows, y_shape, match", [
         (np.zeros((1, 1, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "w_seq must be 2-D, got 3-D"),
         (np.zeros(3), np.zeros((1, 3, 2)), (1, 3, 2), "w_seq must be 2-D, got 1-D"),
-        (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2), "window count"),
-        (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "window count"),
-        (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4), "share a shape"),
+        (np.zeros((2, 3)), np.zeros((1, 3, 2)), (1, 3, 2),
+         r"x_windows must have shape \(2, 3, \*\), got \(1, 3, 2\)"),
+        (np.zeros((1, 3)), np.zeros((3, 2)), (3, 2), "x_windows must be 3-D, got 2-D"),
+        (np.zeros((1, 3)), np.zeros((1, 3, 2)), (1, 3, 4),
+         r"y_windows must have shape \(1, 3, 2\), got \(1, 3, 4\)"),
         (np.zeros((0, 3)), np.zeros((0, 3, 2)), (0, 3, 2), "windows of w_seq must be positive"),
     ], ids=["3-D graphs", "1-D graph", "window count", "2-D signals", "Y shape", "no window"])
     def test_objective_rejects_mismatched_stacks(self, w_seq, x_windows, y_shape, match):

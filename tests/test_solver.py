@@ -144,13 +144,14 @@ class TestUpdateX:
         with pytest.raises(ValueError):
             update_x(np.ones((3, 4)), np.ones(4), 1.0, 0.0)
 
-    @pytest.mark.parametrize("y_shape, m", [((3, 5), 6), ((2, 3, 4), 3)],
-                             ids=["rows", "3-D"])
-    def test_block_that_does_not_fit_the_graph(self, y_shape, m):
+    @pytest.mark.parametrize("y_shape, m, match", [
+        ((3, 5), 6, "y_block must have shape (4, *), got (3, 5)"),
+        ((2, 3, 4), 3, "y_block must be 2-D, got 3-D"),
+    ], ids=["rows", "3-D"])
+    def test_block_that_does_not_fit_the_graph(self, y_shape, m, match):
         # 6 edges are a 4-node graph, so 3 rows do not fit; a 3-D block is
         # not one window's (n, s) signals, even with n matching rows
-        with pytest.raises(ValueError, match=re.escape(f"{y_shape}") + ".*"
-                           + re.escape(f"({m},)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             update_x(np.ones(y_shape), np.ones(m), 1.0, 0.0)
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -224,11 +225,11 @@ class TestEdgeF1:
             edge_f1(np.zeros(3), np.zeros(3), k=4)
 
     @pytest.mark.parametrize("estimate, truth, match", [
-        (np.zeros(3), np.zeros(6), "same edge count"),
+        (np.zeros(3), np.zeros(6), "truth must have shape (3,), got (6,)"),
         (np.zeros(3), np.array([1.0, 0.5, 0.0]), "0/1 edge vector"),
     ])
     def test_malformed_vectors_rejected(self, estimate, truth, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             edge_f1(estimate, truth, k=1)
 
     @pytest.mark.parametrize("k", [1.0, 1.5, True])
