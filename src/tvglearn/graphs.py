@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import as_float_array, check_integer
+from .errors import as_float_array, check_finite, check_integer
 
 __all__ = [
     "edge_pairs",
@@ -157,8 +157,12 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     """Full model objective over a windowed record.
 
     sum_t [ ||Y_t - X_t||_F^2 + gamma * smoothness - eta * energy ]
-    plus alpha * sum_t ||W_t - W_{t+1}||_1.
+    plus alpha * sum_t ||W_t - W_{t+1}||_1.  ``gamma``, ``eta`` and
+    ``alpha`` must be non-negative and finite, as in ``SolverConfig``.
     """
+    check_finite("gamma", gamma)
+    check_finite("eta", eta)
+    check_finite("alpha", alpha)
     w_seq, x_windows = _check_stacks(w_seq, x_windows)
     y_windows = as_float_array("y_windows", y_windows, x_windows.shape)
 

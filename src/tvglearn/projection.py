@@ -66,19 +66,15 @@ def project_capped_simplex(raw, k: float, start=None) -> ProjectionResult:
         much tighter) and sits exactly inside the box.  Each row comes out
         exactly as its own 1-D projection would.
     """
-    w = np.ascontiguousarray(as_float_array("raw", raw, finite=True))
-    if w.ndim not in (1, 2):
-        raise ValueError("raw edge vector must be 1-D, or a 2-D stack of them")
+    w = as_float_array("raw", raw, finite=True)
+    rank = 2 if w.ndim > 1 else 1  # one edge vector, or a (b, m) stack of them
+    w = np.ascontiguousarray(as_float_array("raw", w, (None,) * rank))
     if w.ndim == 2:
         check_integer("rows of raw", w.shape[0], 1)
     check_budget("k", k, w.shape[-1])
-    if start is not None:
+    if start is not None:  # one kappa for every row, or one per row of a stack
         start = as_float_array("start", start)
-        if start.ndim != 0 and (w.ndim != 2 or start.shape != w.shape[:1]):
-            raise ValueError(
-                f"start of shape {start.shape} does not give one kappa per row "
-                f"of raw {w.shape}"
-            )
+        start = as_float_array("start", start, w.shape[:1] if start.ndim and rank == 2 else ())
 
     projected, kappa, iters = _kernels.capped_simplex_project(
         w, float(k), DEFAULT_TOL, start

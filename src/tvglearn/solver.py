@@ -127,7 +127,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Primal, splitting and dual variables plus iteration diagnostics."""
+    """Primal, splitting and dual variables plus iteration diagnostics.
+
+    :func:`step` checks the fields it reads, ``w``, ``beta``, ``kappa``,
+    ``steps`` and ``iteration``, each under its own name (``state.w``, ...).
+    """
 
     # x and z are None only inside _run, between steps: step reads neither,
     # and dropping them lets the next step reuse their memory
@@ -259,48 +263,65 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     The new X depends on Y and W alone, and the new Z on W and beta, so
     neither ``state.x`` nor ``state.z`` is read; either may be None.
     ``y_windows`` is the (b, n, s) record, one window per row of ``state.w``.
+
+    Before any work, each field read is checked under its own name:
+    ``state.w`` is (b, m) with b >= 1, ``state.beta`` (b-1, m),
+    ``state.kappa`` None or (b,), ``state.steps`` None or two positive
+    finite reals, and ``state.iteration`` a non-negative count.
     """
-    y_windows = as_float_array("y_windows", y_windows, (len(state.w), None, None))
+    w = as_float_array("state.w", state.w, (None, None))
+    b = check_integer("windows of state.w", w.shape[0], 1)
+    beta = as_float_array("state.beta", state.beta, (b - 1, w.shape[1]))
+    kappa = state.kappa
+    if kappa is not None:
+        kappa = as_float_array("state.kappa", kappa, (b,))
+    steps = state.steps
+    if steps is not None:
+        as_float_array("state.steps", steps, (2,))  # a tau1 and a tau2
+        for tau in steps:
+            check_finite("state.steps", tau, bound="positive")
+    iteration = check_integer("state.iteration", state.iteration, 0)
+    y_windows = as_float_array("y_windows", y_windows, (b, None, None))
     x_new = np.empty(y_windows.shape)
-    for t in range(len(state.w)):
-        x_new[t] = update_x(y_windows[t], state.w[t], cfg.gamma, cfg.eta, window=t)
-    raw = grad_w(x_new, state.beta, cfg)
-    tau1, tau2 = state.steps or _resolve_steps(raw, cfg)
+    for t in range(b):
+        x_new[t] = update_x(y_windows[t], w[t], cfg.gamma, cfg.eta, window=t)
+    raw = grad_w(x_new, beta, cfg)
+    tau1, tau2 = _resolve_steps(raw, cfg) if steps is None else steps
     # tau1 can be large next to the gradient's offset (C1 / S for a
     # spread of rounding noise); the kappa of each row absorbs a shift of
     # that row, so drop the offset to keep W - tau1 * G resolvable
     raw -= raw.min(axis=1, keepdims=True)
     raw *= tau1
-    np.subtract(state.w, raw, out=raw)  # W - tau1 * G, in place
+    np.subtract(w, raw, out=raw)  # W - tau1 * G, in place
     if not np.isfinite(raw).all():
         raise DivergenceError(
             f"the W-gradient step became non-finite at iteration "
-            f"{state.iteration + 1}; {_divergence_hint(cfg)}"
+            f"{iteration + 1}; {_divergence_hint(cfg)}"
         )
-    proj = project_capped_simplex(raw, cfg.k_budget, start=state.kappa)
+    proj = project_capped_simplex(raw, cfg.k_budget, start=kappa)
     w_new, kappa = proj.projected, proj.kappa
     del raw, proj  # spent; freeing them lowers the step's peak memory
     # the objective reads Y, X and W alone: evaluated right after the
     # projection, before the new Z and beta exist, its temporaries never
     # meet two generations of them
-    obj = _finite_objective(y_windows, x_new, w_new, cfg, state.iteration + 1)
+    obj = _finite_objective(y_windows, x_new, w_new, cfg, iteration + 1)
 
     diff = w_new[:-1] - w_new[1:]  # (b-1, m); empty for one window
-    z_new = prox_l1_linear(diff, cfg.alpha, state.beta, cfg.lam)
+    z_new = prox_l1_linear(diff, cfg.alpha, beta, cfg.lam)
     # the splitting residual Z - (W_t - W_{t+1}), in the spent diff's buffer;
     # max |gap| is the larger of |max gap| and |min gap|, so the residual
     # leaves gap unwritten for the dual step
     gap = np.subtract(z_new, diff, out=diff)
     residual = float(max(abs(gap.max(initial=0.0)), abs(gap.min(initial=0.0))))
     beta_new = np.multiply(gap, tau2, out=gap)  # the dual ascent, in gap's buffer
-    beta_new += state.beta
+    beta_new += beta
 
     return SolverState(
         x=x_new,
         w=w_new,
         z=z_new,
         beta=beta_new,
-        iteration=state.iteration + 1,
+        iteration=iteration + 1,
         objective=obj,
         residual=residual,
         kappa=kappa,

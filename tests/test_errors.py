@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,21 @@ class TestAsFloatArray:
             warnings.simplefilter("error")  # no ComplexWarning on the way
             with pytest.raises(ValueError, match=r"^y must be real, got complex"):
                 as_float_array("y", values)
+
+    @pytest.mark.parametrize("values", [[None, 1.0], np.array(["2020-01-01"], "datetime64[D]"),
+                                        np.array([1], "timedelta64[s]"), np.zeros(2, "V8")],
+                             ids=["object", "datetime64", "timedelta64", "void"])
+    def test_non_numeric_dtypes_are_rejected(self, values):
+        dtype = np.asarray(values).dtype
+        with pytest.raises(ValueError, match=rf"^y must be real, got {re.escape(str(dtype))}$"):
+            as_float_array("y", values)
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], ["1.5", "one"], [b"x"]],
+                             ids=["ragged", "text", "bytes"])
+    def test_unconvertible_input_is_named(self, values):
+        with pytest.raises(ValueError, match=r"^y cannot be converted to float64$") as info:
+            as_float_array("y", values)
+        assert isinstance(info.value.__cause__, ValueError)  # numpy's own reason
 
     def test_rank_wording(self):
         with pytest.raises(ValueError, match=r"^y must be 2-D, got 1-D$"):
@@ -192,6 +208,12 @@ SCALAR_CASES = {
     "is_feasible k": ("k", 1.0, lambda v: tg.is_feasible(_W, v)),
     "is_feasible tol": ("tol", 1e-6, lambda v: tg.is_feasible(_W, 1.0, tol=v)),
     "consensus": ("prob_threshold", 0.5, lambda v: tg.consensus(_W_SEQ, v, 0)),
+    "objective gamma": ("gamma", 1.0, lambda v: tg.objective(
+        _Y_WIN, _Y_WIN, _W_SEQ, gamma=v, eta=0.0, alpha=0.1)),
+    "objective eta": ("eta", 0.0, lambda v: tg.objective(
+        _Y_WIN, _Y_WIN, _W_SEQ, gamma=1.0, eta=v, alpha=0.1)),
+    "objective alpha": ("alpha", 0.1, lambda v: tg.objective(
+        _Y_WIN, _Y_WIN, _W_SEQ, gamma=1.0, eta=0.0, alpha=v)),
 }
 NON_REAL = {"complex": 0.5 + 1j, "text": "0.5", "bool": True, "past the float range": 10**400}
 
@@ -265,9 +287,16 @@ COUNT_CASES = {
         lambda v: tg.select_consistent_nodes([_Y[:v], _Y[::-1][:v]], 1)),
     "grad_w windows": (
         "windows of x", 2, 0, "positive", lambda v: tg.grad_w(_Y_WIN[:v], _BETA, _CFG)),
+    "step iteration": (
+        "state.iteration", 0, -1, "non-negative",
+        lambda v: tg.step(replace(_STATE, iteration=v), _Y_WIN, _CFG)),
+    "step windows": (
+        "windows of state.w", 2, 0, "positive",
+        lambda v: tg.step(replace(_STATE, w=_W_SEQ[:v], beta=_BETA[:v - 1]), _Y_WIN[:v], _CFG)),
 }
 # the cases whose count is itself an argument, not an array's extent
-COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window"]
+COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window",
+                   "step iteration"]
 NON_INTEGER = {"float": 2.5, "nan": np.nan, "text": "3", "complex": 3 + 0j, "bool": True}
 
 
@@ -341,12 +370,81 @@ SHAPE_CASES = {
     "step": (
         _Y_WIN, _Y_WIN[:1], "y_windows must have shape (2, *, *), got (1, 3, 4)",
         lambda a: tg.step(_STATE, a, _CFG)),
+    "step state.w": (
+        _W_SEQ, _W, "state.w must be 2-D, got 1-D",
+        lambda a: tg.step(replace(_STATE, w=a), _Y_WIN, _CFG)),
+    "step state.beta": (
+        _BETA, _BETA3, "state.beta must have shape (1, 3), got (2, 3)",
+        lambda a: tg.step(replace(_STATE, beta=a), _Y_WIN, _CFG)),
+    "step state.kappa": (
+        np.zeros(2), np.zeros(5), "state.kappa must have shape (2,), got (5,)",
+        lambda a: tg.step(replace(_STATE, kappa=a), _Y_WIN, _CFG)),
+    "step state.steps": (
+        (0.5, 0.01), (0.5, 0.01, 0.01), "state.steps must have shape (2,), got (3,)",
+        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
+    "project_capped_simplex raw": (
+        _W_SEQ, _W_SEQ[np.newaxis], "raw must be 2-D, got 3-D",
+        lambda a: tg.project_capped_simplex(a, 1.0)),
+    "project_capped_simplex start": (
+        np.zeros(2), np.zeros(5), "start must have shape (2,), got (5,)",
+        lambda a: tg.project_capped_simplex(_W_SEQ, 1.0, start=a)),
+    "project_capped_simplex start of one vector": (
+        0.0, np.zeros(1), "start must be 0-D, got 1-D",
+        lambda a: tg.project_capped_simplex(_W, 1.0, start=a)),
 }
 
 
 @pytest.mark.parametrize("valid, bad, message, call", SHAPE_CASES.values(),
                          ids=SHAPE_CASES.keys())
 def test_mis_shaped_array_is_refused_by_name(valid, bad, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call(bad)
+
+
+_DAYS = np.array(["2020-01-01", "2020-01-02", "2020-01-03"], "datetime64[D]")
+
+# Each case calls one public function with ``a`` as one argument: the valid
+# value must run, and the refused one must raise with the full wording of
+# its rule, naming that argument.
+VALUE_CASES = {
+    "weight_matrix object": (
+        [0.5, 1.0, 2.0], [None, 1.0, 2.0], "weights must be real, got object", tg.weight_matrix),
+    "weight_matrix ragged": (
+        [0.5, 1.0, 2.0], [0.5, [1.0], 2.0], "weights cannot be converted to float64",
+        tg.weight_matrix),
+    "weight_matrix text": (
+        ["0.5", "1", "2"], ["0.5", "one", "2"], "weights cannot be converted to float64",
+        tg.weight_matrix),
+    "project_capped_simplex datetime64": (
+        _W, _DAYS, "raw must be real, got datetime64[D]",
+        lambda a: tg.project_capped_simplex(a, 1.0)),
+    "step state.steps text": (
+        (0.5, 0.01), ("0.5", 0.01), "state.steps must be a real number, got '0.5'",
+        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
+    "step state.steps non-positive": (
+        (0.5, 0.01), (-1.0, 0.1), "state.steps must be positive and finite, got -1.0",
+        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
+    "step state.steps complex": (
+        (0.5, 0.01), (0.5, 0.01j), "state.steps must be real, got complex128",
+        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
+    "objective gamma": (
+        1.0, np.nan, "gamma must be non-negative and finite, got nan",
+        lambda a: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ, gamma=a, eta=0.0, alpha=0.1)),
+    "objective eta": (
+        0.0, -0.1, "eta must be non-negative and finite, got -0.1",
+        lambda a: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ, gamma=1.0, eta=a, alpha=0.1)),
+    "objective alpha": (
+        0.1, None, "alpha must be a real number, got None",
+        lambda a: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ, gamma=1.0, eta=0.0, alpha=a)),
+}
+
+
+@pytest.mark.parametrize("valid, bad, message, call", VALUE_CASES.values(),
+                         ids=VALUE_CASES.keys())
+def test_refused_value_is_worded_by_argument(valid, bad, message, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(valid)
