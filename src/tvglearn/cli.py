@@ -34,15 +34,7 @@ import numpy as np
 
 from .analysis import consensus as consensus_graph
 from .analysis import graph_correlation_matrix
-from .errors import (
-    CsvParseError,
-    CsvShapeError,
-    DataError,
-    DivergenceError,
-    SingularSystemError,
-    UsageError,
-    check_integer,
-)
+from .errors import DataError, DivergenceError, SingularSystemError, check_integer
 from .graphs import edge_pairs, n_nodes_for_edges
 from .solver import SolverConfig, fit_dynamic, fit_static
 from .synthetic import ScenarioSpec, generate
@@ -93,9 +85,13 @@ def _field_options() -> dict:
 _OPTIONS = _CLI_ONLY | _field_options()
 
 
+class _UsageError(Exception):
+    """Bad command line or config file: exit code 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
-        raise UsageError(message)
+        raise _UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -129,26 +125,26 @@ def _read_text(path, error) -> str:
 def _parse_config_file(parser: _Parser, path: str) -> dict:
     """The options in the ``key=value`` file at ``path``, parsed as ``--key=value``."""
     values = {}
-    for lineno, line in enumerate(_read_text(path, UsageError).splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, _UsageError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
         if key not in _OPTIONS:
-            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+            raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
         try:
             if _OPTIONS[key][0] is bool:  # a switch flag takes no value
                 values[key] = _BOOLS[value.lower()]
             else:
                 values |= vars(parser.parse_args([f"--{key.replace('_', '-')}={value}"]))
         except KeyError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        except UsageError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+            raise _UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        except _UsageError as exc:
+            raise _UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -163,7 +159,7 @@ def _resolve(parser: _Parser, argv) -> dict:
 def _require(resolved: dict, *names: str) -> None:
     missing = [n for n in names if n not in resolved]
     if missing:
-        raise UsageError(
+        raise _UsageError(
             f"mode {resolved['mode']!r} requires: "
             + ", ".join(f"--{n.replace('_', '-')}" for n in missing)
         )
@@ -187,14 +183,14 @@ def _rows(path):
 
 
 def _cell(path, line: int, column: int, token: str, typ):
-    """``token`` as ``typ``; CsvParseError names a cell that fails or is not finite."""
+    """``token`` as ``typ``; DataError names a cell that fails or is not finite."""
     where = f"{path}: row {line}, column {column}"
     try:
         value = typ(token)
     except ValueError as exc:
-        raise CsvParseError(f"{where}: cannot parse {token.strip()!r}") from exc
+        raise DataError(f"{where}: cannot parse {token.strip()!r}") from exc
     if not math.isfinite(value):
-        raise CsvParseError(f"{where}: non-finite value {token.strip()!r}")
+        raise DataError(f"{where}: non-finite value {token.strip()!r}")
     return value
 
 
@@ -212,9 +208,9 @@ def ingest_csv(path) -> np.ndarray:
     The file is UTF-8; a leading byte order mark and blank lines are skipped.
     The first row is a header, and skipped, only when none of its tokens is
     a number, so a typo in the first node row is an error, not a header.
-    Ragged rows, cells that do not parse and non-finite cells raise
-    :class:`CsvParseError` naming the 1-based file line and column; fewer
-    than 2 node rows raises :class:`CsvShapeError`.
+    Ragged rows, cells that do not parse, non-finite cells and fewer than 2
+    node rows raise :class:`DataError` naming the file and, for a row or a
+    cell, its 1-based file line and column.
     """
     rows = list(_rows(path))
     if rows and not any(map(_is_number, rows[0][1])):
@@ -223,38 +219,38 @@ def ingest_csv(path) -> np.ndarray:
     data = []
     for line, row in rows:
         if len(row) != width:
-            raise CsvParseError(f"{path}: row {line} has {len(row)} values, expected {width}")
+            raise DataError(f"{path}: row {line} has {len(row)} values, expected {width}")
         data.append([_cell(path, line, c, tok, float) for c, tok in enumerate(row, start=1)])
 
     if len(data) < 2:
-        raise CsvShapeError(f"{path}: need at least 2 node rows, got {len(data)}")
+        raise DataError(f"{path}: need at least 2 node rows, got {len(data)}")
     return np.asarray(data, dtype=np.float64)
 
 
 def _read_graph_csv(path: Path) -> np.ndarray:
     rows = list(_rows(path))
     if not rows or rows[0][1][:3] != ["i", "j", "w"]:
-        raise CsvParseError(f"{path}: expected an i,j,w graph file")
+        raise DataError(f"{path}: expected an i,j,w graph file")
     entries = []
     for line, row in rows[1:]:
         if len(row) != 3:
-            raise CsvParseError(f"{path}: row {line} is not i,j,w")
+            raise DataError(f"{path}: row {line} is not i,j,w")
         i, j, w = (_cell(path, line, col, tok, typ)
                    for col, tok, typ in zip((1, 2, 3), row, (int, int, float)))
         entries.append((line, i, j, w))
     try:
-        n = n_nodes_for_edges(len(entries))
+        n = n_nodes_for_edges(len(entries), "edge rows")
     except ValueError as exc:
-        raise CsvParseError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     i_idx, j_idx = edge_pairs(n)
     index_of = {(int(i) + 1, int(j) + 1): e for e, (i, j) in enumerate(zip(i_idx, j_idx))}
     weights = np.zeros(len(entries))
     row_of = {}
     for file_row, i, j, w in entries:
         if (i, j) not in index_of:
-            raise CsvParseError(f"{path}: edge ({i},{j}) is not upper-triangular")
+            raise DataError(f"{path}: edge ({i},{j}) is not upper-triangular")
         if (i, j) in row_of:
-            raise CsvParseError(
+            raise DataError(
                 f"{path}: row {file_row} repeats edge ({i},{j}) of row {row_of[i, j]}"
             )
         row_of[i, j] = file_row
@@ -395,9 +391,7 @@ def _read_graph_stack(files) -> np.ndarray:
     m = graphs[0].shape[0]
     for path, weights in zip(files, graphs):
         if weights.shape[0] != m:
-            raise CsvShapeError(
-                f"{path}: {weights.shape[0]} edges, but {files[0]} has {m}"
-            )
+            raise DataError(f"{path}: {weights.shape[0]} edges, but {files[0]} has {m}")
     return np.stack(graphs)
 
 
@@ -463,7 +457,7 @@ def run(argv=None) -> int:
     try:
         opts = _resolve(parser, argv)  # argparse reads sys.argv[1:] for None
         if "mode" not in opts:
-            raise UsageError("--mode is required")
+            raise _UsageError("--mode is required")
         _require(opts, "out")
         with warnings.catch_warnings():
             # shown once per place, whatever filters the caller had set
@@ -471,7 +465,7 @@ def run(argv=None) -> int:
             warnings.showwarning = _print_warning
             files = _COMMANDS[opts["mode"]](opts)
         _write(opts["out"], files)
-    except UsageError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

@@ -9,12 +9,9 @@ import numpy as np
 __all__ = [
     "TvgLearnError",
     "DataError",
-    "CsvParseError",
-    "CsvShapeError",
     "InfeasibleBudgetError",
     "SingularSystemError",
     "DivergenceError",
-    "UsageError",
 ]
 
 
@@ -23,15 +20,8 @@ class TvgLearnError(Exception):
 
 
 class DataError(TvgLearnError):
-    """Input data could not be parsed or has an unusable shape."""
-
-
-class CsvParseError(DataError):
-    """A CSV cell failed to parse; the message carries 1-based coordinates."""
-
-
-class CsvShapeError(DataError):
-    """A parsed CSV does not describe a usable signal matrix."""
+    """An input file could not be read, parsed or used; the message names
+    the file and, for a bad cell, its 1-based line and column."""
 
 
 class InfeasibleBudgetError(TvgLearnError, ValueError):
@@ -49,10 +39,6 @@ class SingularSystemError(TvgLearnError):
 class DivergenceError(TvgLearnError):
     """The solver's iterates outgrew floating point: the objective or the W
     step became non-finite, or the final weights miss the edge budget."""
-
-
-class UsageError(TvgLearnError):
-    """Bad command line or configuration input."""
 
 
 def check_integer(name, value, minimum=None, maximum=None) -> int:

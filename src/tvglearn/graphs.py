@@ -39,12 +39,13 @@ def n_edges(n_nodes: int) -> int:
     return n_nodes * (n_nodes - 1) // 2
 
 
-def n_nodes_for_edges(m: int) -> int:
-    """Inverse of :func:`n_edges`; raises if ``m`` is not a valid edge count."""
-    check_integer("m", m)
+def n_nodes_for_edges(m: int, name: str = "m") -> int:
+    """Inverse of :func:`n_edges`; ValueError naming ``name`` unless ``m`` is
+    a valid edge count."""
+    check_integer(name, m)
     n = (1 + math.isqrt(1 + 8 * m)) // 2 if m > 0 else 0
     if n < 2 or n_edges(n) != m:
-        raise ValueError(f"{m} is not n*(n-1)/2 for any integer n >= 2")
+        raise ValueError(f"{name} must be n*(n-1)/2 for an integer n >= 2, got {m}")
     return n
 
 
@@ -83,7 +84,7 @@ def window_signals(y, window_len: int) -> np.ndarray:
 def weight_matrix(weights) -> np.ndarray:
     """Dense symmetric zero-diagonal weight matrix behind an edge vector."""
     w = as_float_array("weights", weights, (None,))
-    n = n_nodes_for_edges(w.shape[0])
+    n = n_nodes_for_edges(w.shape[0], "edges of weights")
     mat = np.zeros(n * n)
     mat[_kernels.triu_flat(n)] = w
     mat = mat.reshape(n, n)
@@ -95,7 +96,7 @@ def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
     w_seq = as_float_array("w_seq", w_seq, (None, None))
     b = check_integer("windows of w_seq", w_seq.shape[0], 1)
-    n = n_nodes_for_edges(w_seq.shape[1])
+    n = n_nodes_for_edges(w_seq.shape[1], "edges of w_seq")
     return w_seq, as_float_array("x_windows", x_windows, (b, n, None))
 
 
@@ -130,7 +131,7 @@ def smoothness_term(weights, x) -> float:
     """Laplacian quadratic form sum_{i<j} w_ij ||x_i - x_j||^2 = tr(x^T L(W) x),
     computed as the objective computes it for one window."""
     w = as_float_array("weights", weights, (None,))
-    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0]), None))
+    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0], "edges of weights"), None))
     return _smoothness(w[np.newaxis], x[np.newaxis])
 
 
@@ -141,7 +142,7 @@ def energy_penalty_term(weights, x) -> float:
     Returned unscaled; the objective multiplies it by ``-eta``.
     """
     w = as_float_array("weights", weights, (None,))
-    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0]), None))
+    x = as_float_array("x", x, (n_nodes_for_edges(w.shape[0], "edges of weights"), None))
     return _energy(w[np.newaxis], x[np.newaxis])
 
 

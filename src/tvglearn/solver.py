@@ -27,6 +27,7 @@ from .graphs import (
     as_signal_matrix,
     change_profile,
     n_edges,
+    n_nodes_for_edges,
     objective,
     weight_matrix,
     window_signals,
@@ -265,12 +266,14 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
     ``y_windows`` is the (b, n, s) record, one window per row of ``state.w``.
 
     Before any work, each field read is checked under its own name:
-    ``state.w`` is (b, m) with b >= 1, ``state.beta`` (b-1, m),
-    ``state.kappa`` None or (b,), ``state.steps`` None or two positive
-    finite reals, and ``state.iteration`` a non-negative count.
+    ``state.w`` is (b, m) with b >= 1 and m = n*(n-1)/2 edges,
+    ``state.beta`` (b-1, m), ``state.kappa`` None or (b,), ``state.steps``
+    None or two positive finite reals, and ``state.iteration`` a
+    non-negative count; then ``y_windows`` is checked as (b, n, s).
     """
     w = as_float_array("state.w", state.w, (None, None))
     b = check_integer("windows of state.w", w.shape[0], 1)
+    n = n_nodes_for_edges(w.shape[1], "edges of state.w")
     beta = as_float_array("state.beta", state.beta, (b - 1, w.shape[1]))
     kappa = state.kappa
     if kappa is not None:
@@ -281,7 +284,7 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         for tau in steps:
             check_finite("state.steps", tau, bound="positive")
     iteration = check_integer("state.iteration", state.iteration, 0)
-    y_windows = as_float_array("y_windows", y_windows, (b, None, None))
+    y_windows = as_float_array("y_windows", y_windows, (b, n, None))
     x_new = np.empty(y_windows.shape)
     for t in range(b):
         x_new[t] = update_x(y_windows[t], w[t], cfg.gamma, cfg.eta, window=t)

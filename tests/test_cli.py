@@ -22,7 +22,7 @@ from tvglearn.cli import (
     ingest_csv,
     run,
 )
-from tvglearn.errors import CsvParseError, CsvShapeError
+from tvglearn.errors import DataError
 from tvglearn.solver import FitReport, SolverConfig
 from tvglearn.synthetic import ScenarioSpec
 
@@ -42,31 +42,31 @@ class TestIngestCsv:
     def test_header_leaves_too_few_rows(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("n1,n2,n3\n1,2,3\n")
-        with pytest.raises(CsvShapeError):
+        with pytest.raises(DataError, match="need at least 2 node rows, got 1"):
             ingest_csv(path)
 
     def test_nan_cell_named(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("1,2,3\n4,nan,6\n")
-        with pytest.raises(CsvParseError, match="row 2, column 2"):
+        with pytest.raises(DataError, match="row 2, column 2"):
             ingest_csv(path)
 
     def test_ragged_row_named(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("1,2,3\n4,5\n")
-        with pytest.raises(CsvParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2"):
             ingest_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("1,2\n3,4\nx,6\n")
-        with pytest.raises(CsvParseError, match="row 3, column 1"):
+        with pytest.raises(DataError, match="row 3, column 1"):
             ingest_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("")
-        with pytest.raises(CsvShapeError):
+        with pytest.raises(DataError, match="need at least 2 node rows, got 0"):
             ingest_csv(path)
 
     @pytest.mark.parametrize("text, where", [
@@ -78,7 +78,7 @@ class TestIngestCsv:
     def test_error_names_the_file_line(self, tmp_path, text, where):
         path = tmp_path / "y.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match=where):
+        with pytest.raises(DataError, match=where):
             ingest_csv(path)
 
 
@@ -87,7 +87,7 @@ def test_graph_file_skips_blank_lines_and_names_file_lines(tmp_path):
     path.write_text("i,j,w\n\n1,2,0.5\n1,3,0\n\n2,3,1\n")
     np.testing.assert_array_equal(_read_graph_csv(path), [0.5, 0.0, 1.0])
     path.write_text("i,j,w\n\n1,2,0.5\n1,3,x\n2,3,1\n")
-    with pytest.raises(CsvParseError, match="row 4, column 3"):
+    with pytest.raises(DataError, match="row 4, column 3"):
         _read_graph_csv(path)
 
 
@@ -360,7 +360,10 @@ class TestRun:
         ("1,2,0.5\n1,3,0.5\n2,3,0.5\n", "expected an i,j,w graph file"),
         ("i,j,w\n1,2,0.5\n1,3\n2,3,0.5\n", "row 3 is not i,j,w"),
         ("i,j,w\n1,2,0.5\n3,1,0.5\n2,3,0.5\n", "edge (3,1) is not upper-triangular"),
-    ], ids=["no header", "short row", "lower triangle"])
+        ("i,j,w\n1,2,0.5\n1,2,0.5\n2,3,0.5\n", "row 3 repeats edge (1,2) of row 2"),
+        ("i,j,w\n1,2,0.5\n1,3,0.5\n",
+         "edge rows must be n*(n-1)/2 for an integer n >= 2, got 2"),
+    ], ids=["no header", "short row", "lower triangle", "repeated edge", "edge count"])
     def test_malformed_graph_row_is_data_error(self, tmp_path, capsys, text, message):
         fit_dir = tmp_path / "fit"
         fit_dir.mkdir()

@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 
 import tvglearn as tg
+from tvglearn import errors
 from tvglearn.errors import InfeasibleBudgetError, as_float_array, check_finite, check_integer
+
+
+def test_public_errors_are_the_five_typed_classes():
+    assert sorted(errors.__all__) == sorted([
+        "TvgLearnError", "DataError", "InfeasibleBudgetError", "SingularSystemError",
+        "DivergenceError"])
+    for name in errors.__all__:
+        assert issubclass(getattr(errors, name), errors.TvgLearnError), name
+    assert issubclass(InfeasibleBudgetError, ValueError)
+    assert len(tg.__all__) == 36
 
 
 @pytest.mark.parametrize("value, minimum, maximum, match", [
@@ -325,6 +336,8 @@ def test_non_integer_count_is_refused_by_name(case, bad):
 
 
 _X3 = tg.window_signals(_Y[:, :6], 2)  # 3 windows of 2 samples
+_Y_WIN4 = tg.window_signals(np.vstack([_Y, _Y[:1]]), 4)  # 4 nodes, 2 windows
+_STATE4 = replace(_STATE, w=np.zeros((2, 6)), beta=np.zeros((1, 6)))  # 4 nodes
 _BETA3 = np.zeros((2, 3))
 
 # Each case calls one public function with ``a`` as one array argument: the
@@ -368,8 +381,12 @@ SHAPE_CASES = {
     "grad_w beta of one window": (
         _BETA3, _BETA3[0], "beta must be 2-D, got 1-D", lambda a: tg.grad_w(_X3, a, _CFG)),
     "step": (
-        _Y_WIN, _Y_WIN[:1], "y_windows must have shape (2, *, *), got (1, 3, 4)",
+        _Y_WIN, _Y_WIN[:1], "y_windows must have shape (2, 3, *), got (1, 3, 4)",
         lambda a: tg.step(_STATE, a, _CFG)),
+    # the record's nodes follow state.w's edge count, not update_x's check
+    "step y_windows nodes": (
+        _Y_WIN4, _Y_WIN, "y_windows must have shape (2, 4, *), got (2, 3, 4)",
+        lambda a: tg.step(_STATE4, a, _CFG)),
     "step state.w": (
         _W_SEQ, _W, "state.w must be 2-D, got 1-D",
         lambda a: tg.step(replace(_STATE, w=a), _Y_WIN, _CFG)),
@@ -404,6 +421,7 @@ def test_mis_shaped_array_is_refused_by_name(valid, bad, message, call):
             call(bad)
 
 
+_NOT_AN_EDGE_COUNT = "must be n*(n-1)/2 for an integer n >= 2"
 _DAYS = np.array(["2020-01-01", "2020-01-02", "2020-01-03"], "datetime64[D]")
 
 # Each case calls one public function with ``a`` as one argument: the valid
@@ -439,6 +457,24 @@ VALUE_CASES = {
     "objective alpha": (
         0.1, None, "alpha must be a real number, got None",
         lambda a: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ, gamma=1.0, eta=0.0, alpha=a)),
+    # an edge vector's length must be n*(n-1)/2, named by the array it counts
+    "weight_matrix edges": (
+        _W, np.zeros(5), f"edges of weights {_NOT_AN_EDGE_COUNT}, got 5", tg.weight_matrix),
+    "smoothness_term edges": (
+        _W, np.zeros(5), f"edges of weights {_NOT_AN_EDGE_COUNT}, got 5",
+        lambda a: tg.smoothness_term(a, _Y)),
+    "energy_penalty_term edges": (
+        _W, np.zeros(5), f"edges of weights {_NOT_AN_EDGE_COUNT}, got 5",
+        lambda a: tg.energy_penalty_term(a, _Y)),
+    "update_x edges": (
+        _W, np.zeros(5), f"edges of weights {_NOT_AN_EDGE_COUNT}, got 5",
+        lambda a: tg.update_x(_Y, a, 1.0, 0.0)),
+    "objective edges": (
+        _W_SEQ, np.zeros((2, 5)), f"edges of w_seq {_NOT_AN_EDGE_COUNT}, got 5",
+        lambda a: tg.objective(_Y_WIN, _Y_WIN, a, **_OBJ)),
+    "step edges": (
+        _W_SEQ, np.zeros((2, 5)), f"edges of state.w {_NOT_AN_EDGE_COUNT}, got 5",
+        lambda a: tg.step(replace(_STATE, w=a), _Y_WIN, _CFG)),
 }
 
 
