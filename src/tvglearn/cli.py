@@ -184,13 +184,16 @@ def _rows(path):
 
 def _cell(path, line: int, column: int, token: str, typ):
     """``token`` as ``typ``; DataError names a cell that fails or is not finite."""
-    where = f"{path}: row {line}, column {column}"
     try:
         value = typ(token)
     except ValueError as exc:
-        raise DataError(f"{where}: cannot parse {token.strip()!r}") from exc
+        raise DataError(
+            f"{path}: row {line}, column {column}: cannot parse {token.strip()!r}"
+        ) from exc
     if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite value {token.strip()!r}")
+        raise DataError(
+            f"{path}: row {line}, column {column}: non-finite value {token.strip()!r}"
+        )
     return value
 
 

@@ -92,14 +92,6 @@ def weight_matrix(weights) -> np.ndarray:
     return mat
 
 
-def _check_stacks(w_seq, x_windows) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (b, m) graph sequence against a (b, n, s) signal stack."""
-    w_seq = as_float_array("w_seq", w_seq, (None, None))
-    b = check_integer("windows of w_seq", w_seq.shape[0], 1)
-    n = n_nodes_for_edges(w_seq.shape[1], "edges of w_seq")
-    return w_seq, as_float_array("x_windows", x_windows, (b, n, None))
-
-
 def _sq_dist_stack(x_windows) -> np.ndarray:
     """The (b, m) squared row distances of a (b, n, s) stack, window by window."""
     out = np.empty((x_windows.shape[0], n_edges(x_windows.shape[1])))
@@ -158,13 +150,17 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     """Full model objective over a windowed record.
 
     sum_t [ ||Y_t - X_t||_F^2 + gamma * smoothness - eta * energy ]
-    plus alpha * sum_t ||W_t - W_{t+1}||_1.  ``gamma``, ``eta`` and
+    plus alpha * sum_t ||W_t - W_{t+1}||_1, for a (b, m) graph sequence
+    ``w_seq`` and (b, n, s) stacks on its n nodes.  ``gamma``, ``eta`` and
     ``alpha`` must be non-negative and finite, as in ``SolverConfig``.
     """
     check_finite("gamma", gamma)
     check_finite("eta", eta)
     check_finite("alpha", alpha)
-    w_seq, x_windows = _check_stacks(w_seq, x_windows)
+    w_seq = as_float_array("w_seq", w_seq, (None, None))
+    b = check_integer("windows of w_seq", w_seq.shape[0], 1)
+    n = n_nodes_for_edges(w_seq.shape[1], "edges of w_seq")
+    x_windows = as_float_array("x_windows", x_windows, (b, n, None))
     y_windows = as_float_array("y_windows", y_windows, x_windows.shape)
 
     # each term's (b, m) stack is freed before the next is made, and before
@@ -174,7 +170,7 @@ def objective(y_windows, x_windows, w_seq, *, gamma, eta, alpha) -> float:
     change = float(change_profile(w_seq).sum())
     resid = np.empty_like(y_windows[0])
     fit = 0.0
-    for t in range(w_seq.shape[0]):
+    for t in range(b):
         np.subtract(y_windows[t], x_windows[t], out=resid)
         fit += float(np.einsum("ns,ns->", resid, resid))
     return fit + gamma * smooth - eta * energy + alpha * change

@@ -372,13 +372,6 @@ def _initial_state(y_windows, cfg: SolverConfig) -> SolverState:
     )
 
 
-def _converged(state: SolverState, previous: float, cfg: SolverConfig) -> bool:
-    return (
-        abs(state.objective - previous) <= cfg.tol_obj * max(1.0, abs(previous))
-        and state.residual <= cfg.tol_residual
-    )
-
-
 def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitReport]:
     n = y_windows.shape[1]
     check_budget("k_budget", cfg.k_budget, n_edges(n))
@@ -400,7 +393,11 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
             # step reads neither X nor Z; freed, their memory is reused
             state.x = state.z = None
             state = step(state, y_windows, cfg)
-            if _converged(state, previous, cfg):
+            # the stop rule; max(1, ...) keeps the objective test absolute near 0
+            if (
+                abs(state.objective - previous) <= cfg.tol_obj * max(1.0, abs(previous))
+                and state.residual <= cfg.tol_residual
+            ):
                 converged = True
                 break
     for t, w in enumerate(state.w):

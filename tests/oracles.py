@@ -9,6 +9,7 @@ iteration by iteration; its W-gradient and its residual are its own.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -231,6 +232,69 @@ def w_block_lp(costs, k, alpha):
     if res.status != 0:
         raise AssertionError(f"W-block LP failed: {res.message}")
     return float(res.fun)
+
+
+# The Viterbi pass below holds two (V, V) float arrays for V edge sets per
+# window; C(15, 5) = 3003, every 5-edge graph on 6 nodes, is the largest case
+# it is meant for, and this bound keeps those near 150 MB.
+MAX_EDGE_SETS = 3003
+
+
+def global_optimum(y_windows, k, gamma, eta, alpha):
+    """Exact minimum of the model objective over both X and W.
+
+    For fixed signals the W-block has a 0/1 minimiser when K is an integer,
+    so the optimum is a sequence of K-edge sets S_1, ..., S_b.  At a fixed set
+    the best X_t is A_S^-1 Y_t, with A_S = I + gamma*L_S - eta*D_S, which
+    leaves the window cost h_t(S) = ||Y_t||^2 - tr(Y_t^T A_S^-1 Y_t);
+    consecutive sets add alpha*|S_t symmetric-difference S_{t+1}|.  A Viterbi
+    pass over that chain finds the best sequence; every h_t comes from one
+    batched inverse of the A_S.
+
+    Returns (value, w_seq), w_seq the (b, m) 0/1 edge vectors in row-major
+    upper-triangular order.  ValueError unless K is an integer in [1, m], the
+    C(m, K) sets number at most MAX_EDGE_SETS, and eta*(n-1) < 1 (which keeps
+    every A_S positive definite).
+    """
+    y_windows = np.asarray(y_windows, dtype=np.float64)
+    b, n, _ = y_windows.shape
+    i_idx, j_idx = np.array(list(itertools.combinations(range(n), 2))).T
+    m = i_idx.size
+    if k != int(k) or not 1 <= k <= m:
+        raise ValueError(f"k must be an integer in [1, {m}], got {k}")
+    k = int(k)
+    n_sets = math.comb(m, k)
+    if n_sets > MAX_EDGE_SETS:
+        raise ValueError(f"C({m}, {k}) = {n_sets} edge sets exceed {MAX_EDGE_SETS}")
+    if eta * (n - 1) >= 1.0:
+        raise ValueError(f"eta*(n-1) must be below 1, got {eta * (n - 1)}")
+    sets = np.zeros((n_sets, m))
+    for row, edges in enumerate(itertools.combinations(range(m), k)):
+        sets[row, list(edges)] = 1.0
+    adj = np.zeros((n_sets, n, n))
+    adj[:, i_idx, j_idx] = adj[:, j_idx, i_idx] = sets
+    system = -gamma * adj
+    diag = np.arange(n)
+    system[:, diag, diag] += 1.0 + (gamma - eta) * adj.sum(axis=2)
+    cov = np.einsum("tis,tjs->tij", y_windows, y_windows)  # Y_t Y_t^T
+    h = np.einsum("tii->t", cov)[:, np.newaxis] - np.einsum(
+        "vij,tji->tv", np.linalg.inv(system), cov
+    )
+
+    # alpha*|S symmetric-difference S'| = -2*alpha*(|S intersect S'| - K)
+    coupling = sets @ sets.T
+    coupling -= k
+    coupling *= -2.0 * alpha
+    cost = h[0]
+    back = np.empty((b - 1, n_sets), dtype=np.intp)
+    for t in range(1, b):
+        total = coupling + cost[:, np.newaxis]  # (previous set, current set)
+        back[t - 1] = total.argmin(axis=0)
+        cost = total[back[t - 1], np.arange(n_sets)] + h[t]
+    path = [int(cost.argmin())]
+    for t in range(b - 2, -1, -1):
+        path.append(int(back[t, path[-1]]))
+    return float(cost.min()), sets[path[::-1]]
 
 
 def step_per_window(state, y_windows, cfg):
