@@ -36,7 +36,13 @@ def _row_correlations(x, flat_warning: str) -> np.ndarray:
     r = sum(a*b) / sqrt(sum(a*a) * sum(b*b)) over the centred rows, so
     identical rows give exactly 1.0.  Where that product is 0 (a flat row)
     r is 0, with ``flat_warning``.  The callers check that ``x`` is finite.
+
+    Each row is first scaled by a power of two that brings its largest
+    magnitude into [0.5, 1): r does not change under it, the scaling is
+    exact, and the products below can then neither overflow nor underflow.
     """
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    x = np.ldexp(x, -exponent)
     centred = x - x.mean(axis=-1, keepdims=True)
     cross = centred @ np.swapaxes(centred, -1, -2)
     sq = np.diagonal(cross, axis1=-2, axis2=-1)
@@ -95,8 +101,9 @@ def consensus(graph_per_trial, prob_threshold: float, count_threshold: int) -> C
     check_finite("prob_threshold", prob_threshold, bound=None)
     # a negative threshold would keep edges that no trial retained
     check_integer("count_threshold", count_threshold, 0)
-    graphs = as_float_array(
-        "graph_per_trial", np.atleast_2d(graph_per_trial), (None, None), finite=True)
+    # the rule reads the caller's stack first; then a single graph is one trial
+    graphs = as_float_array("graph_per_trial", graph_per_trial, finite=True)
+    graphs = as_float_array("graph_per_trial", np.atleast_2d(graphs), (None, None))
     check_integer("trial graphs of graph_per_trial", graphs.shape[0], 1)
     check_integer("edges of graph_per_trial", graphs.shape[1], 1)
     counts = (graphs >= prob_threshold).sum(axis=0).astype(np.int64)

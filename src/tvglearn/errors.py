@@ -91,23 +91,20 @@ def check_budget(name, k, m=None):
 
 def as_float_array(name, values, shape=None, finite=False):
     """``values`` as a float64 array; ValueError naming ``name`` if numpy cannot
-    convert it (a ragged sequence, text that is not a number), if it is not
-    bool, integer, float or text (complex, object, datetime, ...), if, with
-    ``finite``, it holds a NaN or an inf, or if it does not fit ``shape``
-    (when given: one extent per axis, None for any)."""
+    make one array of it (a ragged sequence), if it is not bool, integer or
+    float (text, complex, object, datetime, ...), if, with ``finite``, it holds
+    a NaN or an inf, or if it does not fit ``shape`` (when given: one extent
+    per axis, None for any)."""
     try:
         array = np.asarray(values)
     except ValueError as err:  # a ragged sequence; numpy's reason is chained
         raise ValueError(f"{name} cannot be converted to float64") from err
     if array.dtype != np.float64:
-        # the cast would drop an imaginary part, read None as NaN or a date
-        # as its count of days; numeric text converts
-        if array.dtype.kind not in "biufUS":
+        # the cast would parse text, drop an imaginary part, read None as NaN
+        # or a date as its count of days
+        if array.dtype.kind not in "biuf":
             raise ValueError(f"{name} must be real, got {array.dtype}")
-        try:
-            array = array.astype(np.float64)
-        except ValueError as err:  # text that is not a number
-            raise ValueError(f"{name} cannot be converted to float64") from err
+        array = array.astype(np.float64)
     if finite and not np.isfinite(array).all():
         raise ValueError(f"{name} has non-finite entries")
     if shape is not None:

@@ -42,7 +42,8 @@ class ScenarioSpec:
         check_finite("smooth_gamma", self.smooth_gamma, bound="positive")
         check_finite("zero_node_fraction", self.zero_node_fraction)
         if self.zero_node_fraction >= 1.0:
-            raise ValueError("zero_node_fraction must be in [0, 1)")
+            raise ValueError(
+                f"zero_node_fraction must be in [0, 1), got {self.zero_node_fraction}")
 
     @property
     def n_windows(self) -> int:
@@ -104,8 +105,12 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     clean[zero_mask] = 0.0
 
     signals = rng.standard_normal(clean.shape)  # the noise, scaled in place
-    signals *= spec.noise_sigma
-    signals += clean
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        signals *= spec.noise_sigma
+        signals += clean
+    # min and max find an inf without a record-sized temporary
+    if not (np.isfinite(signals.min()) and np.isfinite(signals.max())):
+        raise ValueError(f"noise_sigma must not overflow the record, got {spec.noise_sigma}")
 
     boundaries = tuple(
         s * spec.windows_per_segment - 1 for s in range(1, spec.n_segments)

@@ -70,6 +70,16 @@ class TestSelectConsistentNodes:
         ]
         assert order == [int(i) for i in np.argsort(-np.asarray(means), kind="stable")]
 
+    def test_ranking_holds_for_a_node_at_any_scale(self):
+        rng = np.random.default_rng(11)
+        trials = [rng.normal(size=(5, 30)) for _ in range(3)]
+        scaled = [t.copy() for t in trials]
+        for t in scaled:
+            t[2] *= 2.0**700
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_consistent_nodes(scaled, 5) == select_consistent_nodes(trials, 5)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         trials = [rng.normal(size=(6, 15)) for _ in range(2)]
@@ -113,6 +123,12 @@ class TestConsensus:
     def test_one_graph_is_one_trial(self):
         result = consensus([0.6, 0.4, 0.5], prob_threshold=0.5, count_threshold=0)
         np.testing.assert_array_equal(result.counts, [1, 0, 1])
+
+    def test_ragged_stack_is_named_by_the_array_rule(self):
+        message = r"^graph_per_trial cannot be converted to float64$"
+        with pytest.raises(ValueError, match=message) as info:
+            consensus([[1.0, 2.0], [3.0]], 0.5, 0)
+        assert isinstance(info.value.__cause__, ValueError)  # numpy's own reason
 
     def test_stack_of_more_than_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match=r"^graph_per_trial must be 2-D, got 3-D$"):
@@ -221,6 +237,16 @@ class TestGraphCorrelationMatrix:
             for t in range(s + 1, len(seq)):
                 (within if labels[s] == labels[t] else between).append(corr[s, t])
         assert np.mean(within) > np.mean(between)
+
+    @pytest.mark.parametrize("power", [-700, 700])
+    def test_any_scale_gives_the_same_bytes(self, power):
+        # the raw products would overflow (NaN) or underflow (a false flat
+        # row, r = 0): each row's power-of-two scaling is exact
+        seq = np.random.default_rng(10).uniform(size=(4, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = graph_correlation_matrix(2.0**power * seq)
+        assert scaled.tobytes() == graph_correlation_matrix(seq).tobytes()
 
     def test_needs_two_graphs(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from tvglearn.cli import (
     run,
 )
 from tvglearn.errors import DataError
+from tvglearn.graphs import edge_pairs
 from tvglearn.solver import FitReport, SolverConfig
 from tvglearn.synthetic import ScenarioSpec
 
@@ -609,6 +610,21 @@ class TestRun:
         assert "must not overflow" in err and "warning" not in err
         assert not (tmp_path / "d").exists()
 
+    def test_synth_overflowing_noise_is_usage_error(self, tmp_path, capsys):
+        # the scaled noise would write inf cells that ingest refuses
+        assert run(["--mode", "synth", "--noise-sigma", "1e308",
+                    "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "error: noise_sigma must not overflow the record, got 1e+308" in err
+        assert "warning" not in err
+        assert not (tmp_path / "d").exists()
+
+    def test_synth_zero_node_fraction_of_one_is_usage_error(self, tmp_path, capsys):
+        assert run(["--mode", "synth", "--zero-node-fraction", "1",
+                    "--out", str(tmp_path / "d")]) == 1
+        assert "error: zero_node_fraction must be in [0, 1), got 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_synth_singular_smoothing_is_numeric_error(self, tmp_path, capsys):
         # I + smooth_gamma * L is finite but rounds to a singular matrix
         assert run(["--mode", "synth", "--n-nodes", "5", "--k-true", "4",
@@ -679,6 +695,26 @@ class TestRun:
         assert corr.shape == (3, 3)
         np.testing.assert_allclose(np.diag(corr), 1.0)
         assert (out / "graph_corr.pgm").exists()
+
+    def test_analyze_holds_at_any_graph_scale(self, tmp_path, capsys):
+        # weights near 1e200 would overflow raw correlation products into nan
+        # cells; the matrix is the unscaled graphs' one, with no warning
+        weights = np.random.default_rng(12).uniform(size=(3, 6))
+        corr = {}
+        for name, scale in (("plain", 1.0), ("huge", 1e200)):
+            fit_dir, out = tmp_path / name, tmp_path / f"{name}-analysis"
+            fit_dir.mkdir()
+            for t, w in enumerate(weights * scale, start=1):
+                rows = [f"{i + 1},{j + 1},{v:.17g}" for i, j, v in zip(*edge_pairs(4), w)]
+                (fit_dir / f"graph_{t}.csv").write_text("\n".join(["i,j,w", *rows]) + "\n")
+            assert run(["--mode", "analyze", "--input", str(fit_dir),
+                        "--out", str(out), "--heatmap"]) == 0
+            text = (out / "graph_corr.csv").read_text()
+            assert "nan" not in text
+            corr[name] = np.array([[float(v) for v in line.split(",")]
+                                   for line in text.splitlines()])
+        assert "warning:" not in capsys.readouterr().err
+        np.testing.assert_allclose(corr["huge"], corr["plain"], rtol=0, atol=1e-8)
 
     def test_consensus_counts(self, tmp_path):
         cfg = SolverConfig(k_budget=1.0, window_len=4)
@@ -832,7 +868,10 @@ def test_module_entry_point_exits_with_the_run_code(tmp_path, args, code):
     proc = subprocess.run([sys.executable, "-m", "tvglearn", *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
-    assert ("usage: tvglearn" in proc.stdout) if code == 0 else ("--out" in proc.stderr)
+    if code == 0:
+        assert proc.stdout.startswith("usage: tvglearn")
+    else:
+        assert "error: mode 'synth' requires: --out" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -51,6 +51,12 @@ class TestSpec:
         with pytest.raises(error, match=match):
             _spec(**fields)
 
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
+    def test_zero_node_fraction_of_one_or_more_is_rejected(self, fraction):
+        message = rf"^zero_node_fraction must be in \[0, 1\), got {fraction}$"
+        with pytest.raises(ValueError, match=message):
+            _spec(zero_node_fraction=fraction)
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -151,6 +157,15 @@ class TestGenerate:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="must not overflow"):
                 generate(ScenarioSpec(n_nodes=5, k_true=4, smooth_gamma=1e308))
+
+    def test_overflowing_noise_scale_is_refused_by_name(self):
+        # the scaled noise overflows the record: refused before any inf
+        # reaches it, with no floating-point warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^noise_sigma must not overflow the record, "
+                                                 r"got 1e\+308$"):
+                generate(_spec(noise_sigma=1e308))
 
     def test_singular_smoothing_system_names_gamma_and_window(self):
         # I + smooth_gamma * L is finite but rounds to a singular matrix
