@@ -42,9 +42,9 @@ def n_edges(n_nodes: int) -> int:
 def n_nodes_for_edges(m: int, name: str = "m") -> int:
     """Inverse of :func:`n_edges`; ValueError naming ``name`` unless ``m`` is
     a valid edge count."""
-    check_integer(name, m)
+    m = check_integer(name, m)  # a numpy integer's arithmetic wraps
     n = (1 + math.isqrt(1 + 8 * m)) // 2 if m > 0 else 0
-    if n < 2 or n_edges(n) != m:
+    if n < 2 or n * (n - 1) // 2 != m:
         raise ValueError(f"{name} must be n*(n-1)/2 for an integer n >= 2, got {m}")
     return n
 

@@ -186,14 +186,14 @@ def update_x(y_block, weights, gamma: float, eta: float, window: int | None = No
     """
     check_finite("gamma", gamma, bound=None)
     check_finite("eta", eta, bound=None)
-    w = as_float_array("weights", weights)
-    a = weight_matrix(w)  # checks the shape and the edge count
+    a = weight_matrix(weights)  # converts the weights, checks their shape and count
     y_block = as_float_array("y_block", y_block, (a.shape[0], None), finite=True)
     # no entry of the system, nor a degree, exceeds this bound in size, so the
     # assembly overflows only if it does; a NaN or inf weight fails it too, and
-    # fabs keeps it in Python floats, which raise no floating-point warning
+    # fabs keeps it in Python floats, which raise no floating-point warning.
+    # The diagonal of a is still 0, so its largest |entry| is the largest |weight|
     if not math.isfinite(
-        (1.0 + math.fabs(gamma) + math.fabs(eta)) * float(np.abs(w).max()) * a.shape[0]
+        (1.0 + math.fabs(gamma) + math.fabs(eta)) * float(np.abs(a).max()) * a.shape[0]
     ):
         raise ValueError(
             "the weights must be finite and I + gamma*L - eta*D must not overflow"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularSystemError
 from .errors import as_float_array, check_budget, check_finite, check_integer
 from .graphs import edge_pairs, n_edges, window_signals
 from .solver import update_x
@@ -101,7 +102,16 @@ def generate(spec: ScenarioSpec) -> GroundTruth:
     for t, block in enumerate(window_signals(clean, spec.window_len)):
         eps = rng.standard_normal((n, spec.window_len))
         segment = segments[t // spec.windows_per_segment]
-        block[...] = update_x(eps, segment, spec.smooth_gamma, 0.0, window=t)
+        try:
+            block[...] = update_x(eps, segment, spec.smooth_gamma, 0.0, window=t)
+        except SingularSystemError as err:  # I + gamma*L rounds to singular
+            raise SingularSystemError(
+                f"window {t}: smooth_gamma must leave I + gamma*L positive definite "
+                f"(try a smaller gamma), got {spec.smooth_gamma}", window=t) from err
+        except ValueError as err:  # the segment is 0/1, so only gamma overflows
+            raise ValueError(
+                f"smooth_gamma must not overflow I + gamma*L, got {spec.smooth_gamma}"
+            ) from err
     clean[zero_mask] = 0.0
 
     signals = rng.standard_normal(clean.shape)  # the noise, scaled in place

@@ -633,6 +633,15 @@ class TestRun:
         assert "window 0:" in err and "smaller gamma" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("smooth_gamma, code", [("1e200", 3), ("1e308", 1)])
+    def test_synth_refused_smoothing_names_smooth_gamma(self, tmp_path, capsys,
+                                                        smooth_gamma, code):
+        assert run(["--mode", "synth", "--smooth-gamma", smooth_gamma,
+                    "--out", str(tmp_path / "d")]) == code
+        err = capsys.readouterr().err
+        assert "smooth_gamma must " in err and f"got {float(smooth_gamma)}" in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("mode, window_len", [("static", None), ("dynamic", 8)])
     def test_unset_options_take_the_library_defaults(self, tmp_path, mode, window_len):
         path = self._write_signals(tmp_path)

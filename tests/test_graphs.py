@@ -33,6 +33,24 @@ class TestEdgeIndexing:
             got = graphs.n_edges(n_nodes)
         assert type(got) is int and got == int(n_nodes) * (int(n_nodes) - 1) // 2
 
+    @pytest.mark.parametrize("m, n_nodes", [(np.uint8(190), 20), (np.int16(4950), 100),
+                                            (np.int64(2**31 * (2**31 - 1) // 2), 2**31)],
+                             ids=["uint8", "int16", "int64 2**31 nodes"])
+    def test_node_count_of_a_numpy_edge_count_is_an_exact_python_int(self, m, n_nodes):
+        # 1 + 8*m in the count's own type would wrap (uint8 and int16) or
+        # leave the int64 range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = graphs.n_nodes_for_edges(m)
+        assert type(got) is int and got == n_nodes
+
+    def test_numpy_edge_count_that_is_not_triangular_is_refused_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^m must be n\*\(n-1\)/2 for an integer "
+                                                 r"n >= 2, got 191$"):
+                graphs.n_nodes_for_edges(np.uint8(191))
+
     @pytest.mark.parametrize("m", [4, 0, -1, 3.0, True])
     def test_bad_edge_count(self, m):
         with pytest.raises(ValueError, match=r"n\*\(n-1\)/2|m must be an integer"):

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -19,6 +20,7 @@ from tvglearn import (
     fit_static,
     generate,
 )
+from tvglearn import errors
 from tvglearn.graphs import change_profile, n_edges, window_signals
 from tvglearn.projection import is_feasible
 from tvglearn.solver import (
@@ -169,6 +171,27 @@ class TestUpdateX:
         # NaN, and a numpy scalar's inf must not warn on the way
         with pytest.raises(ValueError, match="^gamma must be finite, got"):
             update_x(np.ones((3, 4)), np.zeros(3), gamma, 0.0)
+
+    def test_each_argument_is_checked_once(self):
+        # the X-update runs once per window and iteration, so a repeated
+        # check is paid on every one of them
+        rules = {"as_float_array", "check_integer", "check_finite", "check_budget"}
+        calls = []
+
+        def profile(frame, event, _):
+            code = frame.f_code
+            if event == "call" and code.co_filename == errors.__file__ and code.co_name in rules:
+                calls.append((code.co_name, frame.f_locals["name"]))
+
+        rng = np.random.default_rng(3)
+        y, w = rng.normal(size=(20, 5)), rng.random(n_edges(20))
+        sys.setprofile(profile)
+        try:
+            update_x(y, w, 0.1, 0.0)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 5, calls
+        assert [name for rule, name in calls if rule == "as_float_array"] == ["weights", "y_block"]
 
 
 class TestGradW:

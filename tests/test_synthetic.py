@@ -169,10 +169,29 @@ class TestGenerate:
 
     def test_singular_smoothing_system_names_gamma_and_window(self):
         # I + smooth_gamma * L is finite but rounds to a singular matrix
-        with pytest.raises(SingularSystemError, match="smaller gamma") as excinfo:
+        with pytest.raises(SingularSystemError, match=r"smooth_gamma .*smaller gamma") as excinfo:
             generate(ScenarioSpec(n_nodes=5, k_true=4, smooth_gamma=1e200))
         assert str(excinfo.value).startswith("window 0:")
         assert excinfo.value.window == 0
+
+    @pytest.mark.parametrize("smooth_gamma, error, message", [
+        (1e16, SingularSystemError, "window 0: smooth_gamma must leave I + gamma*L positive "
+                                    "definite (try a smaller gamma), got 1e+16"),
+        (1e200, SingularSystemError, "window 0: smooth_gamma must leave I + gamma*L positive "
+                                     "definite (try a smaller gamma), got 1e+200"),
+        (1e308, ValueError, "smooth_gamma must not overflow I + gamma*L, got 1e+308"),
+    ])
+    def test_refused_smoothing_names_smooth_gamma(self, smooth_gamma, error, message):
+        # the X-update's own refusal, which speaks of gamma and the weights,
+        # is chained under one that names the scenario field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as excinfo:
+                generate(ScenarioSpec(smooth_gamma=smooth_gamma))
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+        assert type(excinfo.value.__cause__) is error
+        if error is SingularSystemError:
+            assert excinfo.value.window == excinfo.value.__cause__.window == 0
 
     def test_true_graph_is_smoothest_among_random_budgets(self):
         spec = _spec(n_nodes=15, k_true=14, n_segments=1, windows_per_segment=4)
