@@ -12,12 +12,15 @@ empty.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import DivergenceError, SingularSystemError
 from .errors import as_float_array, check_budget, check_finite, check_integer
@@ -34,6 +37,26 @@ from .graphs import (
 )
 from .projection import is_feasible, project_capped_simplex
 from .proximal import prox_l1_linear
+
+
+def _load_lapack():
+    """scipy's LAPACK extension, the one behind ``scipy.linalg.lapack``, loaded
+    from its file: importing ``scipy.linalg`` would load most of scipy.  The
+    light ``import scipy`` sets up the libraries some platforms need first;
+    the name must end in ``_flapack``, as the loader calls ``PyInit__flapack``."""
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("tvglearn._flapack", path)
+            spec = importlib.util.spec_from_loader(loader.name, loader, origin=path)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
+
+
+lapack = _load_lapack()
 
 __all__ = [
     "SolverConfig",
@@ -134,8 +157,8 @@ class SolverState:
     ``steps`` and ``iteration``, each under its own name (``state.w``, ...).
     """
 
-    # x and z are None only inside _run, between steps: step reads neither,
-    # and dropping them lets the next step reuse their memory
+    # z is None only inside _run, between steps: step reads neither x nor z,
+    # and dropping z lets the next step reuse its memory
     x: np.ndarray | None  # (b, n, s) denoised signals
     w: np.ndarray  # (b, m) edge weights
     z: np.ndarray | None  # (b-1, m) splitting variables
@@ -258,18 +281,22 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
     )
 
 
-def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
+def step(state: SolverState, y_windows, cfg: SolverConfig, *, x_out=None) -> SolverState:
     """One full iteration over all windows; returns the advanced state.
 
     The new X depends on Y and W alone, and the new Z on W and beta, so
     neither ``state.x`` nor ``state.z`` is read; either may be None.
     ``y_windows`` is the (b, n, s) record, one window per row of ``state.w``.
+    The new X is written into ``x_out`` when one is given (it may be
+    ``state.x``), and into a new array otherwise.
 
     Before any work, each field read is checked under its own name:
     ``state.w`` is (b, m) with b >= 1 and m = n*(n-1)/2 edges,
     ``state.beta`` (b-1, m), ``state.kappa`` None or (b,), ``state.steps``
     None or two positive finite reals, and ``state.iteration`` a
-    non-negative count; then ``y_windows`` is checked as (b, n, s).
+    non-negative count; then ``y_windows`` is checked as (b, n, s), and
+    ``x_out`` must be a writable float64 array of the record's shape that
+    shares no memory with ``y_windows`` or the state's w, beta and kappa.
     """
     w = as_float_array("state.w", state.w, (None, None))
     b = check_integer("windows of state.w", w.shape[0], 1)
@@ -285,7 +312,8 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
             check_finite("state.steps", tau, bound="positive")
     iteration = check_integer("state.iteration", state.iteration, 0)
     y_windows = as_float_array("y_windows", y_windows, (b, n, None))
-    x_new = np.empty(y_windows.shape)
+    x_new = (np.empty(y_windows.shape) if x_out is None
+             else _check_x_out(x_out, y_windows, w, beta, kappa))
     for t in range(b):
         x_new[t] = update_x(y_windows[t], w[t], cfg.gamma, cfg.eta, window=t)
     raw = grad_w(x_new, beta, cfg)
@@ -330,6 +358,23 @@ def step(state: SolverState, y_windows, cfg: SolverConfig) -> SolverState:
         kappa=kappa,
         steps=(tau1, tau2),
     )
+
+
+def _check_x_out(x_out, y_windows, w, beta, kappa) -> np.ndarray:
+    """``x_out`` itself if :func:`step` may write the new X into it."""
+    if as_float_array("x_out", x_out, y_windows.shape) is not x_out:  # converted
+        got = type(x_out).__name__
+        if isinstance(x_out, np.ndarray):
+            got += f" of {x_out.dtype}"
+        raise ValueError(f"x_out must be a float64 numpy.ndarray, got {got}")
+    if not x_out.flags.writeable:
+        raise ValueError("x_out must be writable")
+    # the step reads these after it writes X
+    for name, read in (("y_windows", y_windows), ("state.w", w), ("state.beta", beta),
+                       ("state.kappa", kappa)):
+        if read is not None and np.may_share_memory(x_out, read):
+            raise ValueError(f"x_out must not share memory with {name}")
+    return x_out
 
 
 def _divergence_hint(cfg: SolverConfig) -> str:
@@ -388,11 +433,14 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
     # typed error, without a floating-point warning first
     with np.errstate(over="ignore", invalid="ignore"):
         state = _initial_state(y_windows, cfg)
+        # one X stack for the whole fit: a new one per step would free and
+        # fault in that much memory on every iteration
+        x_out = np.empty(y_windows.shape)
         while state.iteration < cfg.max_iter:
             previous = state.objective
-            # step reads neither X nor Z; freed, their memory is reused
-            state.x = state.z = None
-            state = step(state, y_windows, cfg)
+            # step reads no Z; freed, its memory is reused
+            state.z = None
+            state = step(state, y_windows, cfg, x_out=x_out)
             # the stop rule; max(1, ...) keeps the objective test absolute near 0
             if (
                 abs(state.objective - previous) <= cfg.tol_obj * max(1.0, abs(previous))

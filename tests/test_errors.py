@@ -501,3 +501,44 @@ def test_step_takes_a_list_record_as_it_takes_the_array():
         assert getattr(from_list, field).tobytes() == getattr(from_array, field).tobytes()
     assert (from_list.objective, from_list.residual, from_list.steps) == (
         from_array.objective, from_array.residual, from_array.steps)
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+_SHARED = np.zeros(30)  # an X stack over the last 24 entries, state.w over 6 of them
+_SHARED[18:24] = _W_SEQ.ravel()
+X_OUT_CASES = {
+    "wrong shape": (np.empty((2, 3, 5)), _STATE, "x_out must have shape (2, 3, 4), got (2, 3, 5)"),
+    "wrong rank": (np.empty((2, 12)), _STATE, "x_out must be 3-D, got 2-D"),
+    "float32": (np.zeros((2, 3, 4), np.float32), _STATE,
+                "x_out must be a float64 numpy.ndarray, got ndarray of float32"),
+    "int": (np.zeros((2, 3, 4), np.int64), _STATE,
+            "x_out must be a float64 numpy.ndarray, got ndarray of int64"),
+    "list": (np.zeros((2, 3, 4)).tolist(), _STATE,
+             "x_out must be a float64 numpy.ndarray, got list"),
+    "complex": (np.zeros((2, 3, 4), complex), _STATE, "x_out must be real, got complex128"),
+    "read-only": (_read_only(np.empty((2, 3, 4))), _STATE, "x_out must be writable"),
+    "the record": (_Y_WIN, _STATE, "x_out must not share memory with y_windows"),
+    "a view of the record": (
+        _Y_WIN[::-1], _STATE, "x_out must not share memory with y_windows"),
+    "state.w": (
+        _SHARED[6:].reshape(2, 3, 4), replace(_STATE, w=_SHARED[18:24].reshape(2, 3)),
+        "x_out must not share memory with state.w"),
+    "state.beta": (
+        _SHARED[6:].reshape(2, 3, 4), replace(_STATE, beta=_SHARED[20:23].reshape(1, 3)),
+        "x_out must not share memory with state.beta"),
+}
+
+
+@pytest.mark.parametrize("x_out, state, message", X_OUT_CASES.values(), ids=X_OUT_CASES.keys())
+def test_step_refuses_an_x_out_it_may_not_write(x_out, state, message):
+    before = np.array(x_out, copy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tg.step(state, _Y_WIN, _CFG)  # the state itself is valid
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            tg.step(state, _Y_WIN, _CFG, x_out=x_out)
+    np.testing.assert_array_equal(np.asarray(x_out), before)  # refused before any write

@@ -20,7 +20,7 @@ from tvglearn import (
     fit_static,
     generate,
 )
-from tvglearn import errors
+from tvglearn import errors, solver
 from tvglearn.graphs import change_profile, n_edges, window_signals
 from tvglearn.projection import is_feasible
 from tvglearn.solver import (
@@ -690,7 +690,8 @@ class TestFits:
 
 class TestMemory:
     """A fit holds the caller's record plus one X stack: the windows are
-    views of the record, X starts at Y, and each step's X replaces the last."""
+    views of the record, X starts at Y, and every step writes its X into the
+    one stack the fit allocates."""
 
     @pytest.mark.parametrize("fit, bound", [(fit_dynamic, 2.0), (fit_static, 2.5)])
     def test_fit_allocation_peak(self, fit, bound):
@@ -752,6 +753,40 @@ class TestMemory:
             new = step(freed, y, cfg)
             for f in fields(SolverState):
                 _assert_same_bytes(getattr(full, f.name), getattr(new, f.name))
+
+    def test_step_writes_x_into_the_given_buffer(self):
+        rng = np.random.default_rng(8)
+        y = rng.normal(size=(3, 6, 10))
+        cfg = SolverConfig(k_budget=4.0, window_len=10, gamma=0.3, eta=0.05)
+        state = step(_initial_state(y, cfg), y, cfg)
+        buf = np.full(y.shape, np.nan)
+        fresh, into = step(state, y, cfg), step(state, y, cfg, x_out=buf)
+        assert into.x is buf
+        for f in fields(SolverState):
+            _assert_same_bytes(getattr(fresh, f.name), getattr(into, f.name))
+        # the buffer may be the X of the state it is given, which step never reads
+        fresh = step(into, y, cfg)
+        again = step(into, y, cfg, x_out=into.x)
+        assert again.x is buf
+        for f in fields(SolverState):
+            _assert_same_bytes(getattr(fresh, f.name), getattr(again, f.name))
+
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    def test_fit_writes_every_step_into_one_x_stack(self, fit, monkeypatch):
+        y, cfg = _reference_scenario(25)
+        buffers = []
+        original = solver.step
+
+        def recording(state, y_windows, cfg, **kwargs):
+            buffers.append(kwargs["x_out"])
+            return original(state, y_windows, cfg, **kwargs)
+
+        monkeypatch.setattr(solver, "step", recording)
+        _, x, report = fit(y, replace(cfg, max_iter=5))
+        assert report.iterations == len(buffers) == 5
+        assert all(buf is buffers[0] for buf in buffers)
+        # a static fit returns its one window of the stack
+        assert (x if fit is fit_dynamic else x.base) is buffers[0]
 
 
 def _assert_same_bytes(a, b):
