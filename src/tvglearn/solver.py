@@ -69,13 +69,12 @@ __all__ = [
     "fit_static",
 ]
 
-# An unset step is sized from S, the mean over windows of the spread
-# max(G_t) - min(G_t) of the first W-gradient: tau1 = C1 / S and
-# tau2 = min(C2 * S, 1 / lam).  beta is in gradient units and the weights
-# are in [0, 1], so the rule takes the same W steps on c*Y as on Y.  Tuned
-# on the reference scenario's seeds 0-6 and 8-24 at signal scales 0.3, 1
-# and 3: every fit converges, in at most 403 iterations; C1 = 50 left 21
-# of the 72 fits at max_iter, and smaller C1 converge more slowly.
+# The constants of the step rule in _resolve_steps.  beta is in gradient
+# units and the weights are in [0, 1], so the rule takes the same W steps
+# on c*Y as on Y.  Tuned on the reference scenario's seeds 0-6 and 8-24 at
+# signal scales 0.3, 1 and 3: every fit converges, in at most 403
+# iterations; C1 = 50 left 21 of the 72 fits at max_iter, and smaller C1
+# converge more slowly.
 C1 = 20.0
 C2 = 0.02
 
@@ -102,10 +101,11 @@ class SolverConfig:
         Primal (W) and dual (beta) step sizes.  None (the default) sizes
         the step from the fit's own gradient scale on its first iteration:
         with S the mean over windows of max(G_t) - min(G_t) of the first
-        W-gradient, tau1 = C1 / S and tau2 = min(C2 * S, 1 / lam) (C1
-        and C2 are module constants).  An explicit tau2 must satisfy
-        tau2 * lam < 2, the bound past which the dual ascent step stops
-        contracting.  The report carries the steps a fit used.
+        W-gradient, tau1 = C1 / S and tau2 = min(C2 * S, 1 / lam), for
+        module constants C1 and C2; a zero S counts as 1, and a record too
+        small or too large for the rule raises DivergenceError.  An explicit
+        tau2 must satisfy tau2 * lam < 2, past which the dual ascent step
+        stops contracting.  The report carries the steps a fit used.
     max_iter : int
         Iteration cap.
     tol_obj : float
@@ -264,16 +264,16 @@ def grad_w(x, beta, cfg: SolverConfig) -> np.ndarray:
 def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
     """The (tau1, tau2) of a fit whose first W-gradient stack is ``grads``.
 
-    A configured step is kept as it is.  An unset one follows the rule
-    tau1 = C1 / S, tau2 = min(C2 * S, 1 / lam), where S is the mean over
-    windows of max(G_t) - min(G_t).  A spread that is zero (a flat gradient
-    moves no weight whatever the step), not finite, or so small that C1 / S
-    overflows falls back to S = 1.  The cap keeps the dual iteration stable:
-    once |beta| is large, an ascent step scales it by about 1 - tau2 * lam.
+    An unset step follows the rule tau1 = C1 / S, tau2 = min(C2 * S,
+    1 / lam), where S is the mean over windows of max(G_t) - min(G_t); a
+    set one is kept.  Only a zero S falls back to 1: a flat gradient moves
+    no weight whatever the step.  An S that is not finite, or too small
+    for C1 / S, ends in the W step's DivergenceError.  The cap keeps the
+    dual stable: an ascent step scales a large |beta| by about 1 - tau2 * lam.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.mean(np.ptp(grads, axis=1)))
-    if not (0.0 < spread < math.inf and math.isfinite(C1 / spread)):
+    if spread == 0.0:
         spread = 1.0
     return (
         C1 / spread if cfg.tau1 is None else cfg.tau1,
@@ -429,8 +429,8 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
         )
     converged = False
     # a record near 1e153 overflows the objective, the X-update, the
-    # gradient or the W step; the finiteness checks report that as one
-    # typed error, without a floating-point warning first
+    # gradient or the W step, and one below 1e-154 the step size; the
+    # checks report that as one typed error, with no floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
         state = _initial_state(y_windows, cfg)
         # one X stack for the whole fit: a new one per step would free and

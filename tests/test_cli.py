@@ -319,6 +319,17 @@ class TestRun:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_record_too_small_for_the_step_rule_is_numeric_error(self, tmp_path, capsys):
+        # a record near 1e-160 has a subnormal gradient spread, so the rule's
+        # tau1 = C1 / S overflows and the first W step is non-finite
+        data = 1e-160 * np.random.default_rng(0).normal(size=(3, 16))
+        path = self._write_signals(tmp_path, data)
+        code = run(["--mode", "dynamic", "--input", str(path),
+                    "--out", str(tmp_path / "o"), "--k", "1", "--window-len", "8"])
+        assert code == 3
+        assert "non-finite at iteration 1; rescale the input" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rule_sized_tau1_is_not_blamed(self, tmp_path, capsys):
         # the objective's smoothness and energy sums overflow (inf - inf) at
         # iteration 2; the gradient rule sized tau1, so the hint names the

@@ -18,6 +18,9 @@ CHECK = textwrap.dedent("""
     heavy = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.stats")
     assert sorted(m for m in sys.modules if m.startswith(heavy)) == []
     assert "tvglearn.cli" not in sys.modules
+    # numpy loads numpy.random lazily, on first use; only tg.generate needs
+    # it, and it adds about 5 MB of memory to every process
+    assert sorted(m for m in sys.modules if m.startswith("numpy.random")) == []
     # the guard sees the package's real imports: scipy is loaded, and the
     # solver's LAPACK is the extension in its linalg directory
     assert "scipy" in sys.modules

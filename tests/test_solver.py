@@ -889,18 +889,33 @@ class TestDefaultSteps:
         [
             np.zeros((2, 3)),  # zero record
             np.full((2, 3), -7.0),  # constant record
-            np.array([[0.0, 1e-320, 0.0]]),  # C1 / S overflows
-            np.array([[np.inf, 0.0, 1.0]]),
-            np.array([[np.nan, 0.0, 1.0]]),
-            np.array([[-1e308, 1e308]]),  # the spread itself overflows
         ],
-        ids=["zero", "constant", "subnormal", "inf", "nan", "overflow"],
+        ids=["zero", "constant"],
     )
     def test_degenerate_spread_falls_back_to_unit_scale(self, grads):
         cfg = SolverConfig(k_budget=1.0, lam=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert _resolve_steps(grads, cfg) == (C1, C2)
+
+    @pytest.mark.parametrize(
+        "grads, spread",
+        [
+            (np.array([[0.0, 1e-320, 0.0]]), 1e-320),  # C1 / S overflows
+            (np.array([[np.inf, 0.0, 1.0]]), np.inf),
+            (np.array([[np.nan, 0.0, 1.0]]), np.nan),
+            (np.array([[-1e308, 1e308]]), np.inf),  # the spread itself overflows
+        ],
+        ids=["subnormal", "inf", "nan", "overflow"],
+    )
+    def test_nonzero_spread_follows_the_rule(self, grads, spread):
+        # only a flat gradient falls back; a step the rule leaves non-finite
+        # is refused by the W step (test_subnormal_gradient_fit)
+        cfg = SolverConfig(k_budget=1.0, lam=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            steps = _resolve_steps(grads, cfg)
+        np.testing.assert_array_equal(steps, (C1 / spread, min(C2 * spread, 1.0 / cfg.lam)))
 
     @pytest.mark.parametrize("case", ["one edge", "equal rows"])
     def test_gradient_offset_far_above_its_spread_keeps_the_budget(self, case):
@@ -920,13 +935,50 @@ class TestDefaultSteps:
         assert np.isfinite(report.final_objective)
 
     def test_subnormal_gradient_fit(self):
+        # the spread is subnormal, so tau1 = C1 / S overflows and the first
+        # W step is non-finite: a divergence, as for a record near 1e153
         rng = np.random.default_rng(9)
-        w_seq, _, report = fit_dynamic(
-            1e-160 * rng.normal(size=(4, 12)), SolverConfig(k_budget=2.0, window_len=4)
-        )
+        with pytest.raises(DivergenceError, match="iteration 1; rescale the input$"):
+            fit_dynamic(
+                1e-160 * rng.normal(size=(4, 12)), SolverConfig(k_budget=2.0, window_len=4)
+            )
+
+    # a window's squared distances scale with its samples: the static fit's
+    # one 1600-sample window has about 8 times the spread of a 200-sample
+    # one, so its step overflows one decade lower
+    @pytest.mark.parametrize(
+        "fit, scale",
+        [(fit_dynamic, 1e-154), (fit_dynamic, 1e-160), (fit_static, 1e-155),
+         (fit_static, 1e-160)],
+        ids=["dynamic-1e-154", "dynamic-1e-160", "static-1e-155", "static-1e-160"],
+    )
+    def test_record_too_small_for_the_step_rule_is_divergence(self, fit, scale):
+        # the objective is tiny but not 0, so the uniform start graph is no
+        # answer; the rule's tau1 = C1 / S overflows instead
+        y, cfg = _reference_scenario(25)
+        with pytest.raises(DivergenceError, match="iteration 1; rescale the input$"):
+            fit(scale * y, cfg)
+
+    def test_smallest_record_the_rule_sizes_still_converges(self):
+        y, cfg = _reference_scenario(25)
+        w_seq, _, report = fit_dynamic(1e-153 * y, cfg)
+        # 161 iterations here; the count may move by a step or two across
+        # BLAS builds
+        assert report.converged and abs(report.iterations - 161) <= 2
+        assert np.isfinite(report.tau1) and report.final_objective > 0.0
+        assert all(is_feasible(w, cfg.k_budget, tol=1e-9) for w in w_seq)
+        assert np.ptp(w_seq) == 1.0  # not the uniform start graph K/m
+
+    @pytest.mark.parametrize("fit", [fit_dynamic, fit_static])
+    def test_record_whose_squares_underflow_fits_like_a_zero_record(self, fit):
+        # at 1e-200 every squared difference is exactly 0: the objective is
+        # 0 for every W, so the gradient is flat and S falls back to 1
+        y, cfg = _reference_scenario(25)
+        w, _, report = fit(1e-200 * y, cfg)
+        w_zero, _, report_zero = fit(np.zeros_like(y), cfg)
+        _assert_same_bytes(w, w_zero)
+        assert report == report_zero
         assert (report.tau1, report.tau2) == (C1, C2)
-        assert report.converged
-        assert all(is_feasible(w, 2.0, tol=1e-9) for w in w_seq)
 
     def test_budget_missed_beyond_float_resolution_is_divergence(self):
         # eta at its bound: once W gives node 3 degree 3 the X system is near
