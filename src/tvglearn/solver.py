@@ -30,7 +30,6 @@ from .graphs import (
     as_signal_matrix,
     change_profile,
     n_edges,
-    n_nodes_for_edges,
     objective,
     weight_matrix,
     window_signals,
@@ -60,11 +59,9 @@ lapack = _load_lapack()
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "FitReport",
     "update_x",
     "grad_w",
-    "step",
     "fit_dynamic",
     "fit_static",
 ]
@@ -109,7 +106,8 @@ class SolverConfig:
     max_iter : int
         Iteration cap.
     tol_obj : float
-        Relative objective-change tolerance.
+        Relative objective-change tolerance: the objective test passes
+        when |F - F_prev| <= tol_obj * |F_prev|, at any scale of the record.
     tol_residual : float
         Tolerance on max_t ||Z_t - W_t + W_{t+1}||_inf.
     window_len : int or None
@@ -153,8 +151,8 @@ class SolverConfig:
 class SolverState:
     """Primal, splitting and dual variables plus iteration diagnostics.
 
-    :func:`step` checks the fields it reads, ``w``, ``beta``, ``kappa``,
-    ``steps`` and ``iteration``, each under its own name (``state.w``, ...).
+    The loop's own record of a fit: :func:`_run` builds it and :func:`step`
+    advances it, and neither checks its fields.
     """
 
     # z is None only inside _run, between steps: step reads neither x nor z,
@@ -284,40 +282,21 @@ def _resolve_steps(grads: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
 def step(state: SolverState, y_windows, cfg: SolverConfig, *, x_out=None) -> SolverState:
     """One full iteration over all windows; returns the advanced state.
 
-    The new X depends on Y and W alone, and the new Z on W and beta, so
-    neither ``state.x`` nor ``state.z`` is read; either may be None.
-    ``y_windows`` is the (b, n, s) record, one window per row of ``state.w``.
-    The new X is written into ``x_out`` when one is given (it may be
+    The loop's private iteration: it checks no argument, and trusts
+    :func:`_run` for a (b, n, s) float64 record ``y_windows`` with one
+    window per row of ``state.w``.  The new X depends on Y and W alone, and
+    the new Z on W and beta, so neither ``state.x`` nor ``state.z`` is
+    read; either may be None.  The new X is written into ``x_out`` when
+    one is given (a float64 array of the record's shape that shares no
+    memory with the record or the state's w, beta and kappa; it may be
     ``state.x``), and into a new array otherwise.
-
-    Before any work, each field read is checked under its own name:
-    ``state.w`` is (b, m) with b >= 1 and m = n*(n-1)/2 edges,
-    ``state.beta`` (b-1, m), ``state.kappa`` None or (b,), ``state.steps``
-    None or two positive finite reals, and ``state.iteration`` a
-    non-negative count; then ``y_windows`` is checked as (b, n, s), and
-    ``x_out`` must be a writable float64 array of the record's shape that
-    shares no memory with ``y_windows`` or the state's w, beta and kappa.
     """
-    w = as_float_array("state.w", state.w, (None, None))
-    b = check_integer("windows of state.w", w.shape[0], 1)
-    n = n_nodes_for_edges(w.shape[1], "edges of state.w")
-    beta = as_float_array("state.beta", state.beta, (b - 1, w.shape[1]))
-    kappa = state.kappa
-    if kappa is not None:
-        kappa = as_float_array("state.kappa", kappa, (b,))
-    steps = state.steps
-    if steps is not None:
-        as_float_array("state.steps", steps, (2,))  # a tau1 and a tau2
-        for tau in steps:
-            check_finite("state.steps", tau, bound="positive")
-    iteration = check_integer("state.iteration", state.iteration, 0)
-    y_windows = as_float_array("y_windows", y_windows, (b, n, None))
-    x_new = (np.empty(y_windows.shape) if x_out is None
-             else _check_x_out(x_out, y_windows, w, beta, kappa))
-    for t in range(b):
+    w, beta, kappa, iteration = state.w, state.beta, state.kappa, state.iteration
+    x_new = np.empty(y_windows.shape) if x_out is None else x_out
+    for t in range(w.shape[0]):
         x_new[t] = update_x(y_windows[t], w[t], cfg.gamma, cfg.eta, window=t)
     raw = grad_w(x_new, beta, cfg)
-    tau1, tau2 = _resolve_steps(raw, cfg) if steps is None else steps
+    tau1, tau2 = _resolve_steps(raw, cfg) if state.steps is None else state.steps
     # tau1 can be large next to the gradient's offset (C1 / S for a
     # spread of rounding noise); the kappa of each row absorbs a shift of
     # that row, so drop the offset to keep W - tau1 * G resolvable
@@ -358,23 +337,6 @@ def step(state: SolverState, y_windows, cfg: SolverConfig, *, x_out=None) -> Sol
         kappa=kappa,
         steps=(tau1, tau2),
     )
-
-
-def _check_x_out(x_out, y_windows, w, beta, kappa) -> np.ndarray:
-    """``x_out`` itself if :func:`step` may write the new X into it."""
-    if as_float_array("x_out", x_out, y_windows.shape) is not x_out:  # converted
-        got = type(x_out).__name__
-        if isinstance(x_out, np.ndarray):
-            got += f" of {x_out.dtype}"
-        raise ValueError(f"x_out must be a float64 numpy.ndarray, got {got}")
-    if not x_out.flags.writeable:
-        raise ValueError("x_out must be writable")
-    # the step reads these after it writes X
-    for name, read in (("y_windows", y_windows), ("state.w", w), ("state.beta", beta),
-                       ("state.kappa", kappa)):
-        if read is not None and np.may_share_memory(x_out, read):
-            raise ValueError(f"x_out must not share memory with {name}")
-    return x_out
 
 
 def _divergence_hint(cfg: SolverConfig) -> str:
@@ -441,9 +403,10 @@ def _run(y_windows, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, FitRepor
             # step reads no Z; freed, its memory is reused
             state.z = None
             state = step(state, y_windows, cfg, x_out=x_out)
-            # the stop rule; max(1, ...) keeps the objective test absolute near 0
+            # the stop rule; the objective test is relative, so a static fit
+            # of c*Y, whose F is c**2 times Y's, stops where Y's does
             if (
-                abs(state.objective - previous) <= cfg.tol_obj * max(1.0, abs(previous))
+                abs(state.objective - previous) <= cfg.tol_obj * abs(previous)
                 and state.residual <= cfg.tol_residual
             ):
                 converged = True

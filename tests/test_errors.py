@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ def test_public_errors_are_the_five_typed_classes():
     for name in errors.__all__:
         assert issubclass(getattr(errors, name), errors.TvgLearnError), name
     assert issubclass(InfeasibleBudgetError, ValueError)
-    assert len(tg.__all__) == 36
+    assert len(tg.__all__) == 34
 
 
 @pytest.mark.parametrize("value, minimum, maximum, match", [
@@ -132,7 +131,6 @@ _W_SEQ = np.array([_W, _W[::-1]])
 _Y_WIN = tg.window_signals(_Y, 4)
 _BETA = np.zeros((1, 3))
 _CFG = tg.SolverConfig(k_budget=1.0, window_len=4, max_iter=2)
-_STATE = tg.SolverState(x=None, w=_W_SEQ, z=None, beta=_BETA)
 _TRUTH = np.array([1.0, 0.0, 0.0])
 _OBJ = dict(gamma=1.0, eta=0.0, alpha=0.1)
 
@@ -157,7 +155,6 @@ COMPLEX_CASES = {
     "update_x weights": ("weights", lambda z: tg.update_x(_Y, _W + z, 1.0, 0.0)),
     "grad_w x": ("x", lambda z: tg.grad_w(_Y_WIN + z, _BETA, _CFG)),
     "grad_w beta": ("beta", lambda z: tg.grad_w(_Y_WIN, _BETA + z, _CFG)),
-    "step": ("y_windows", lambda z: tg.step(_STATE, _Y_WIN + z, _CFG)),
     "project_capped_simplex raw": ("raw", lambda z: tg.project_capped_simplex(_W_SEQ + z, 1.0)),
     "project_capped_simplex start": (
         "start", lambda z: tg.project_capped_simplex(_W_SEQ, 1.0, start=np.zeros(2) + z)),
@@ -305,16 +302,9 @@ COUNT_CASES = {
         lambda v: tg.select_consistent_nodes([_Y[:v], _Y[::-1][:v]], 1)),
     "grad_w windows": (
         "windows of x", 2, 0, "positive", lambda v: tg.grad_w(_Y_WIN[:v], _BETA, _CFG)),
-    "step iteration": (
-        "state.iteration", 0, -1, "non-negative",
-        lambda v: tg.step(replace(_STATE, iteration=v), _Y_WIN, _CFG)),
-    "step windows": (
-        "windows of state.w", 2, 0, "positive",
-        lambda v: tg.step(replace(_STATE, w=_W_SEQ[:v], beta=_BETA[:v - 1]), _Y_WIN[:v], _CFG)),
 }
 # the cases whose count is itself an argument, not an array's extent
-COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window",
-                   "step iteration"]
+COUNT_ARGUMENTS = ["n_edges", "edge_pairs", "select_consistent_nodes top_k", "segment_of_window"]
 NON_INTEGER = {"float": 2.5, "nan": np.nan, "text": "3", "complex": 3 + 0j, "bool": True}
 
 
@@ -343,8 +333,6 @@ def test_non_integer_count_is_refused_by_name(case, bad):
 
 
 _X3 = tg.window_signals(_Y[:, :6], 2)  # 3 windows of 2 samples
-_Y_WIN4 = tg.window_signals(np.vstack([_Y, _Y[:1]]), 4)  # 4 nodes, 2 windows
-_STATE4 = replace(_STATE, w=np.zeros((2, 6)), beta=np.zeros((1, 6)))  # 4 nodes
 _BETA3 = np.zeros((2, 3))
 
 # Each case calls one public function with ``a`` as one array argument: the
@@ -387,25 +375,6 @@ SHAPE_CASES = {
         lambda a: tg.grad_w(_X3, a, _CFG)),
     "grad_w beta of one window": (
         _BETA3, _BETA3[0], "beta must be 2-D, got 1-D", lambda a: tg.grad_w(_X3, a, _CFG)),
-    "step": (
-        _Y_WIN, _Y_WIN[:1], "y_windows must have shape (2, 3, *), got (1, 3, 4)",
-        lambda a: tg.step(_STATE, a, _CFG)),
-    # the record's nodes follow state.w's edge count, not update_x's check
-    "step y_windows nodes": (
-        _Y_WIN4, _Y_WIN, "y_windows must have shape (2, 4, *), got (2, 3, 4)",
-        lambda a: tg.step(_STATE4, a, _CFG)),
-    "step state.w": (
-        _W_SEQ, _W, "state.w must be 2-D, got 1-D",
-        lambda a: tg.step(replace(_STATE, w=a), _Y_WIN, _CFG)),
-    "step state.beta": (
-        _BETA, _BETA3, "state.beta must have shape (1, 3), got (2, 3)",
-        lambda a: tg.step(replace(_STATE, beta=a), _Y_WIN, _CFG)),
-    "step state.kappa": (
-        np.zeros(2), np.zeros(5), "state.kappa must have shape (2,), got (5,)",
-        lambda a: tg.step(replace(_STATE, kappa=a), _Y_WIN, _CFG)),
-    "step state.steps": (
-        (0.5, 0.01), (0.5, 0.01, 0.01), "state.steps must have shape (2,), got (3,)",
-        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
     "project_capped_simplex raw": (
         _W_SEQ, _W_SEQ[np.newaxis], "raw must be 2-D, got 3-D",
         lambda a: tg.project_capped_simplex(a, 1.0)),
@@ -445,15 +414,6 @@ VALUE_CASES = {
     "project_capped_simplex datetime64": (
         _W, _DAYS, "raw must be real, got datetime64[D]",
         lambda a: tg.project_capped_simplex(a, 1.0)),
-    "step state.steps text": (
-        (0.5, 0.01), ("0.5", 0.01), "state.steps must be real, got <U32",
-        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
-    "step state.steps non-positive": (
-        (0.5, 0.01), (-1.0, 0.1), "state.steps must be positive and finite, got -1.0",
-        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
-    "step state.steps complex": (
-        (0.5, 0.01), (0.5, 0.01j), "state.steps must be real, got complex128",
-        lambda a: tg.step(replace(_STATE, steps=a), _Y_WIN, _CFG)),
     "objective gamma": (
         1.0, np.nan, "gamma must be non-negative and finite, got nan",
         lambda a: tg.objective(_Y_WIN, _Y_WIN, _W_SEQ, gamma=a, eta=0.0, alpha=0.1)),
@@ -478,9 +438,6 @@ VALUE_CASES = {
     "objective edges": (
         _W_SEQ, np.zeros((2, 5)), f"edges of w_seq {_NOT_AN_EDGE_COUNT}, got 5",
         lambda a: tg.objective(_Y_WIN, _Y_WIN, a, **_OBJ)),
-    "step edges": (
-        _W_SEQ, np.zeros((2, 5)), f"edges of state.w {_NOT_AN_EDGE_COUNT}, got 5",
-        lambda a: tg.step(replace(_STATE, w=a), _Y_WIN, _CFG)),
 }
 
 
@@ -493,52 +450,3 @@ def test_refused_value_is_worded_by_argument(valid, bad, message, call):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             call(bad)
 
-
-def test_step_takes_a_list_record_as_it_takes_the_array():
-    from_array = tg.step(_STATE, _Y_WIN, _CFG)
-    from_list = tg.step(_STATE, _Y_WIN.tolist(), _CFG)
-    for field in ("x", "w", "z", "beta", "kappa"):
-        assert getattr(from_list, field).tobytes() == getattr(from_array, field).tobytes()
-    assert (from_list.objective, from_list.residual, from_list.steps) == (
-        from_array.objective, from_array.residual, from_array.steps)
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
-_SHARED = np.zeros(30)  # an X stack over the last 24 entries, state.w over 6 of them
-_SHARED[18:24] = _W_SEQ.ravel()
-X_OUT_CASES = {
-    "wrong shape": (np.empty((2, 3, 5)), _STATE, "x_out must have shape (2, 3, 4), got (2, 3, 5)"),
-    "wrong rank": (np.empty((2, 12)), _STATE, "x_out must be 3-D, got 2-D"),
-    "float32": (np.zeros((2, 3, 4), np.float32), _STATE,
-                "x_out must be a float64 numpy.ndarray, got ndarray of float32"),
-    "int": (np.zeros((2, 3, 4), np.int64), _STATE,
-            "x_out must be a float64 numpy.ndarray, got ndarray of int64"),
-    "list": (np.zeros((2, 3, 4)).tolist(), _STATE,
-             "x_out must be a float64 numpy.ndarray, got list"),
-    "complex": (np.zeros((2, 3, 4), complex), _STATE, "x_out must be real, got complex128"),
-    "read-only": (_read_only(np.empty((2, 3, 4))), _STATE, "x_out must be writable"),
-    "the record": (_Y_WIN, _STATE, "x_out must not share memory with y_windows"),
-    "a view of the record": (
-        _Y_WIN[::-1], _STATE, "x_out must not share memory with y_windows"),
-    "state.w": (
-        _SHARED[6:].reshape(2, 3, 4), replace(_STATE, w=_SHARED[18:24].reshape(2, 3)),
-        "x_out must not share memory with state.w"),
-    "state.beta": (
-        _SHARED[6:].reshape(2, 3, 4), replace(_STATE, beta=_SHARED[20:23].reshape(1, 3)),
-        "x_out must not share memory with state.beta"),
-}
-
-
-@pytest.mark.parametrize("x_out, state, message", X_OUT_CASES.values(), ids=X_OUT_CASES.keys())
-def test_step_refuses_an_x_out_it_may_not_write(x_out, state, message):
-    before = np.array(x_out, copy=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tg.step(state, _Y_WIN, _CFG)  # the state itself is valid
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            tg.step(state, _Y_WIN, _CFG, x_out=x_out)
-    np.testing.assert_array_equal(np.asarray(x_out), before)  # refused before any write

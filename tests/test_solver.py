@@ -845,18 +845,17 @@ class TestDefaultSteps:
         gap = oracles.w_block_value(costs, w_seq, cfg.alpha) - optimum
         assert -1e-8 <= gap <= 1e-8
 
-    @pytest.mark.parametrize("c", [0.5, 4.0])
+    @pytest.mark.parametrize("c", [0.5, 4.0, 1e-3, 1e-6, 1e-100])
     def test_static_fit_follows_the_signal_scale(self, c):
         # G scales with c**2 and tau1 = C1 / S with 1 / c**2, so the steps
-        # are the same; the objective stays above 1 at both scales, so the
-        # max(1, |obj|) floor in tol_obj does not act
+        # are the same; the objective scales with c**2 too, so the relative
+        # tol_obj test stops at the same iteration
         rng = np.random.default_rng(3)
         y = rng.normal(size=(12, 30)) + 0.5 * rng.normal(size=(12, 1))
         cfg = SolverConfig(k_budget=11.0, gamma=0.05, eta=0.02)
         w, _, report = fit_static(y, cfg)
         w_c, _, report_c = fit_static(c * y, cfg)
         assert report.converged and report_c.converged
-        assert min(report.final_objective, report_c.final_objective) >= 1.0
         assert report_c.iterations == report.iterations > 1
         np.testing.assert_allclose(w_c, w, rtol=0, atol=1e-9)
         assert report_c.tau1 == pytest.approx(report.tau1 / c**2, rel=1e-12)
