@@ -76,8 +76,8 @@ def capped_simplex_project(w, k, tol, start=None):
     [min(w) - 1, max(w)], and the bracket midpoint otherwise.
 
     Every step evaluates the shift and the clip on the whole stack, in one
-    stack-sized buffer that becomes the result (the last spread of the
-    residual over the interior adds a second one); a row that has stopped
+    stack-sized buffer that becomes the result, and the last spread of the
+    residual over the interior writes into it too; a row that has stopped
     keeps its kappa, so its values recompute to the same bits.  Each row's
     bracket bookkeeping runs on Python floats, so every row comes out as it
     would alone.  When the coordinates at the cap, or those above 0, alone
@@ -167,8 +167,12 @@ def capped_simplex_project(w, k, tol, start=None):
         # Spread the leftover root-finding residual over the interior
         # coordinates; this is an exact shift of kappa in disguise.
         spread.append((k - total_w[r]) / count if count else 0.0)
-    moved = out + np.array(spread)[:, np.newaxis]
-    np.copyto(out, _clip01(moved, out=moved), where=interior)
+    # in place on the interior alone: a spread stack would be the call's
+    # second stack-sized buffer, and the peak of a wide fit
+    spread = np.array(spread)[:, np.newaxis]
+    np.add(out, spread, out=out, where=interior)
+    np.maximum(out, 0.0, out=out, where=interior)
+    np.minimum(out, 1.0, out=out, where=interior)
     if w.ndim == 1:
         return out[0], float(kappa[0]), total
     return out, np.array(kappa), total

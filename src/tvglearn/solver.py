@@ -68,12 +68,20 @@ __all__ = [
 
 # The constants of the step rule in _resolve_steps.  beta is in gradient
 # units and the weights are in [0, 1], so the rule takes the same W steps
-# on c*Y as on Y.  Tuned on the reference scenario's seeds 0-6 and 8-24 at
-# signal scales 0.3, 1 and 3: every fit converges, in at most 403
-# iterations; C1 = 50 left 21 of the 72 fits at max_iter, and smaller C1
-# converge more slowly.
-C1 = 20.0
-C2 = 0.02
+# on c*Y as on Y.  Chosen from C1 in {20, 22, 24, 25} x C2 in {0.02, 0.025,
+# 0.03} on the reference scenario's seeds 0-6 and 8-24 at signal scales
+# 0.3, 1 and 3 (72 fits).  A pair qualifies when all 72 fits converge,
+# their mean segment F1 stays within 0.005 of (20, 0.02)'s at each scale,
+# the alpha x gamma grid (alpha 0.01-1.6, gamma 0.01-1, seeds 0-6,
+# max_iter 3000) leaves no fit unconverged that (20, 0.02) converges, and
+# the batched step stays within 1e-12 of the per-window one over 100
+# steps.  Of the qualifying pairs this one needs the fewest iterations at
+# scale 1: median 95.5 and at most 351, against 127 and 403 for (20,
+# 0.02); held-out seed 7 takes 111 against 130.  The pairs that do not
+# qualify lose the 1e-12 parity (3.3e-12 at (22, 0.03)) or leave other
+# grid fits unconverged.
+C1 = 24.0
+C2 = 0.03
 
 
 @dataclass(frozen=True)

@@ -709,8 +709,8 @@ class TestMemory:
         # at n=100 each (b-1, m) stack of Z or beta is a fifth of the record.
         # With the old Z freed before a step, beta formed in the residual's
         # buffer, a one-buffer projection and a one-buffer prox the peak
-        # sits in the projection's last spread: 2.27 records at 8 windows
-        # and 2.30 at 64; with the old Z alive, a separate beta, a second
+        # sits in the objective at 8 windows (2.24 records) and in the prox
+        # at 64 (2.23); with the old Z alive, a separate beta, a second
         # projection buffer and a two-buffer prox, 2.58 and 2.71
         y = generate(
             replace(_wide_spec(), windows_per_segment=windows_per_segment)
@@ -827,10 +827,16 @@ def _reference_scenario(seed):
 
 
 class TestDefaultSteps:
-    @pytest.mark.parametrize("seed", range(7))
-    def test_reference_scenario_converges(self, seed):
+    # seed 0 at the strong couplings is among the grid fits C1 and C2 were
+    # chosen to converge (158 and 161 iterations)
+    @pytest.mark.parametrize(
+        "seed, alpha",
+        [*((seed, 0.1) for seed in range(7)), (0, 0.8), (0, 1.6)],
+        ids=[*map(str, range(7)), "0-alpha0.8", "0-alpha1.6"],
+    )
+    def test_reference_scenario_converges(self, seed, alpha):
         y, cfg = _reference_scenario(seed)
-        _, _, report = fit_dynamic(y, cfg)
+        _, _, report = fit_dynamic(y, replace(cfg, alpha=alpha))
         assert report.converged and report.stop_reason == "tolerance"
 
     def test_fixed_point_is_w_block_optimal(self):
@@ -961,9 +967,9 @@ class TestDefaultSteps:
     def test_smallest_record_the_rule_sizes_still_converges(self):
         y, cfg = _reference_scenario(25)
         w_seq, _, report = fit_dynamic(1e-153 * y, cfg)
-        # 161 iterations here; the count may move by a step or two across
+        # 119 iterations here; the count may move by a step or two across
         # BLAS builds
-        assert report.converged and abs(report.iterations - 161) <= 2
+        assert report.converged and abs(report.iterations - 119) <= 2
         assert np.isfinite(report.tau1) and report.final_objective > 0.0
         assert all(is_feasible(w, cfg.k_budget, tol=1e-9) for w in w_seq)
         assert np.ptp(w_seq) == 1.0  # not the uniform start graph K/m
